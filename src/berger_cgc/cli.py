@@ -38,19 +38,21 @@ EXIT_NO_SPHERE = 3
 EXIT_ACCURACY = 4
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _write_csv(path, header, rows, row_format=None):
+    """Write ``rows`` (tuples) through one %-format per row.
 
-
-def _write_csv(path, header, rows):
+    ``row_format`` defaults to all-float columns; floats use %.17g, which
+    round-trips exactly.  Boolean columns are passed as "true"/"false"
+    strings under %s.
+    """
+    line = (row_format or ",".join(["%.17g"] * len(header))) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(line % row for row in rows)
+
+
+def _bool(v) -> str:
+    return "true" if v else "false"
 
 
 def _parse_range(text):
@@ -134,9 +136,9 @@ def cmd_thresholds(args) -> int:
     for tau in taus:
         p = make_params(tau)
         if tau > 1:
-            gap = f"[{_fmt(p.k0)}, {_fmt(p.kp)}]"
+            gap = f"[{p.k0:.17g}, {p.kp:.17g}]"
         else:
-            gap = f"{{{_fmt(p.k0)}}}"
+            gap = f"{{{p.k0:.17g}}}"
         print(f"{tau:>12g} {p.lam:>12g} {p.k0:>12g} {p.kp:>12g}  {gap}")
         rows.append((tau, p.lam, p.k0, p.kp, p.k0, p.kp))
     if args.out:
@@ -284,7 +286,7 @@ def cmd_phase(args) -> int:
             _write_csv(
                 os.path.join(args.out, f"phase_grid_{tag}.csv"),
                 ("X", "Y", "F"),
-                ((X[i, j], Y[i, j], F[i, j]) for i in range(n) for j in range(n)),
+                zip(X.ravel().tolist(), Y.ravel().tolist(), F.ravel().tolist()),
             )
             rows = []
             for level, pts in polylines:
@@ -294,6 +296,7 @@ def cmd_phase(args) -> int:
                 os.path.join(args.out, f"contours_{tag}.csv"),
                 ("level", "seq", "X", "Y"),
                 rows,
+                "%.17g,%d,%.17g,%.17g",
             )
         if "svg" in formats:
             svg_lines = [
@@ -335,9 +338,6 @@ def cmd_sphere(args) -> int:
         for K in ks:
             try:
                 sol = sphere.build_sphere(p, K, samples=args.samples)
-            except NoSphereError as exc:
-                print(f"tau={tau:g} K={K:g}: no sphere, K0={exc.k0:g}", file=sys.stderr)
-                return EXIT_NO_SPHERE
             except AccuracyError as exc:
                 if exc.achieved == math.inf:
                     # threshold case for tau > 1: pole-touching profile
@@ -346,7 +346,7 @@ def cmd_sphere(args) -> int:
                         f"threshold (r = pi/2), vertical radius diverges"
                     )
                     report_rows.append(
-                        (tau, K, math.pi / 2.0, math.inf, False, math.nan)
+                        (tau, K, math.pi / 2.0, math.inf, _bool(False), math.nan)
                     )
                     continue
                 print(f"tau={tau:g} K={K:g}: accuracy failure: {exc}", file=sys.stderr)
@@ -357,7 +357,7 @@ def cmd_sphere(args) -> int:
                 f"tau={tau:g} K={K:g}: r={sol.r:.12g} h={sol.h:.12g} "
                 f"T={sol.T:.12g} embedded={sol.embedded}{flag}"
             )
-            report_rows.append((tau, K, sol.r, sol.h, sol.embedded, sol.T))
+            report_rows.append((tau, K, sol.r, sol.h, _bool(sol.embedded), sol.T))
             if not args.out:
                 continue
             tag = f"tau{_slug(tau)}_K{_slug(K)}"
@@ -366,7 +366,8 @@ def cmd_sphere(args) -> int:
                 _write_csv(
                     os.path.join(args.out, f"profile_{tag}.csv"),
                     ("s", "x", "y", "alpha", "energy_drift"),
-                    zip(s, x, y, a, sol.profile.energy_drifts),
+                    zip(s.tolist(), x.tolist(), y.tolist(), a.tolist(),
+                        sol.profile.energy_drifts.tolist()),
                 )
             if "svg" in formats:
                 pts = list(zip(y, x))
@@ -385,7 +386,7 @@ def cmd_sphere(args) -> int:
                         mesh,
                         f,
                         header=(
-                            f"tau={_fmt(tau)} K={_fmt(K)}",
+                            f"tau={tau:.17g} K={K:.17g}",
                             f"berger-cgc {__version__}",
                         ),
                     )
@@ -394,6 +395,7 @@ def cmd_sphere(args) -> int:
             os.path.join(args.out, "spheres.csv"),
             ("tau", "K", "r", "h", "embedded", "T"),
             report_rows,
+            "%.17g,%.17g,%.17g,%.17g,%s,%.17g",
         )
     return EXIT_OK
 
@@ -410,7 +412,9 @@ def _region_cell(task):
         return None
     try:
         h = sphere.vertical_radius(p, K)
-    except AccuracyError:
+    except AccuracyError as exc:
+        if exc.achieved != math.inf:
+            raise  # unconverged quadrature, not a divergent vertical radius
         return (tau, K, math.inf, False)
     return (tau, K, h, h < math.pi)
 
@@ -463,7 +467,8 @@ def cmd_embed_region(args) -> int:
         _write_csv(
             os.path.join(args.out, "region.csv"),
             ("tau", "K", "h", "embedded"),
-            rows,
+            ((t, k, h, _bool(e)) for t, k, h, e in rows),
+            "%.17g,%.17g,%.17g,%s",
         )
         if boundary:
             _write_csv(
@@ -554,7 +559,7 @@ def _suite_routes(tol=1e-7):
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(20240817)
-    rtol = args.tol if args.tol != 1e-8 else 1e-10
+    rtol = args.tol
     suites = (
         ("boundary_identities", lambda: _suite_boundary_identities(rng)),
         ("energy_conservation", lambda: _suite_energy(rtol)),
@@ -614,6 +619,8 @@ def _build_parser():
         sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(func=fn)
+    # verify integrates at rtol 1e-10 unless --tol is given
+    sub.choices["verify"].set_defaults(tol=1e-10)
     return ap
 
 
@@ -663,12 +670,12 @@ def main(argv=None) -> int:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)
+    except NoSphereError as exc:  # a DomainError subclass: caught first
+        print(str(exc), file=sys.stderr)
+        return EXIT_NO_SPHERE
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NoSphereError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO_SPHERE
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return EXIT_ACCURACY

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import CriticalPointError, DomainError
 from .geometry import BergerParams
 
@@ -90,12 +88,6 @@ class LevelCurve:
         return self.points[-1]
 
 
-def _f(lam: float, K: float, X: float, Y: float) -> float:
-    w = 1.0 - lam * X
-    q = 1.0 - 2.0 * lam * X
-    return q * q / w * (1.0 - X) * Y * Y + K * w * X
-
-
 def _f_and_grad(lam: float, K: float, X: float, Y: float):
     """Value and analytic gradient, sharing subexpressions (hot path)."""
     w = 1.0 - lam * X
@@ -110,18 +102,18 @@ def _f_and_grad(lam: float, K: float, X: float, Y: float):
     return F, Fx, Fy
 
 
+def energy_values(params: BergerParams, K: float, X, Y):
+    """Energy F(X, Y) in plain arithmetic: floats give a float, numpy
+    arrays broadcast."""
+    lam = params.lam
+    w = 1.0 - lam * X
+    q = 1.0 - 2.0 * lam * X
+    return q * q / w * (1.0 - X) * Y * Y + K * w * X
+
+
 def energy_value(params: BergerParams, K: float, p: PhasePoint) -> float:
     """Energy F(X, Y) at a phase point."""
-    return _f(params.lam, K, p.X, p.Y)
-
-
-def energy_values(params: BergerParams, K: float, X, Y):
-    """Vectorized energy over numpy arrays of X and Y (broadcasting)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    w = 1.0 - params.lam * X
-    q = 1.0 - 2.0 * params.lam * X
-    return q * q / w * (1.0 - X) * Y * Y + K * w * X
+    return energy_values(params, K, p.X, p.Y)
 
 
 def energy_gradient(params: BergerParams, K: float, p: PhasePoint):

@@ -63,7 +63,8 @@ TERMINATIONS = ("boundary_axis", "boundary_pole", "step_limit", "singular_alpha"
 
 @dataclass(frozen=True)
 class ProfileState:
-    """(s, x, y, alpha): arc parameter and profile-curve coordinates."""
+    """(s, x, y, alpha): arc parameter and profile-curve coordinates of one
+    state, as taken by :func:`rhs`, :func:`integrate` and :func:`embedding`."""
 
     s: float
     x: float
@@ -87,16 +88,8 @@ class FundamentalForm:
     G: float
 
 
-def energy(params: BergerParams, K: float, x: float, alpha: float) -> float:
-    """Conserved energy of the system at (x, alpha)."""
-    lam = params.lam
-    u = math.sin(x) ** 2
-    P = 1.0 - lam * u
-    R = 1.0 - 2.0 * lam * u
-    return R * R / P * (1.0 - u) * math.cos(alpha) ** 2 + K * P * u
-
-
-def _energy_arrays(params: BergerParams, K: float, x, alpha):
+def energy(params: BergerParams, K: float, x, alpha):
+    """Conserved energy of the system at (x, alpha); vectorized."""
     lam = params.lam
     u = np.sin(x) ** 2
     P = 1.0 - lam * u
@@ -104,55 +97,73 @@ def _energy_arrays(params: BergerParams, K: float, x, alpha):
     return R * R / P * (1.0 - u) * np.cos(alpha) ** 2 + K * P * u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """An ordered solution of the profile system with energy bookkeeping.
 
-    ``max_energy_drift`` is max_i |E(state_i) - energy0|; for integrated
+    The samples are read-only float arrays ``s``, ``x``, ``y``, ``alpha``
+    and ``energy_drifts`` (|E_i - energy0| per sample), with ``s`` strictly
+    increasing.  ``max_energy_drift`` is their maximum; for integrated
     trajectories it must stay within the integrator's tolerance budget
     (100 x rtol by default).
     """
 
     params: BergerParams
     K: float
-    states: tuple
+    s: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    alpha: np.ndarray
     energy0: float
     max_energy_drift: float
     termination: str
-    energy_drifts: tuple = field(repr=False, default=())
+    energy_drifts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise DomainError(f"unknown termination {self.termination!r}")
-        s = self.arrays()[0]
-        if len(s) > 1 and not np.all(np.diff(s) > 0):
+        for name in ("s", "x", "y", "alpha", "energy_drifts"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        for name in ("s", "x", "y", "alpha"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"non-finite profile state component {name}")
+        below = np.sin(self.x) < -1e-12
+        if np.any(below):
+            bad = float(self.x[below][0])
+            raise DomainError(f"profile requires sin x >= 0, got x = {bad!r}")
+        if not np.all(np.diff(self.s) > 0):
             raise DomainError("trajectory states must be strictly increasing in s")
 
     def arrays(self):
-        """(s, x, y, alpha) as numpy arrays."""
-        s = np.array([st.s for st in self.states])
-        x = np.array([st.x for st in self.states])
-        y = np.array([st.y for st in self.states])
-        a = np.array([st.alpha for st in self.states])
-        return s, x, y, a
+        """(s, x, y, alpha)."""
+        return self.s, self.x, self.y, self.alpha
+
+    @property
+    def states(self) -> tuple:
+        """The samples as ProfileState values, built from the arrays."""
+        return tuple(
+            map(ProfileState, self.s.tolist(), self.x.tolist(), self.y.tolist(),
+                self.alpha.tolist())
+        )
 
 
 def _make_trajectory(params, K, s, x, y, alpha, termination) -> Trajectory:
-    states = tuple(
-        ProfileState(float(si), float(xi), float(yi), float(ai))
-        for si, xi, yi, ai in zip(s, x, y, alpha)
-    )
-    e = _energy_arrays(params, K, np.asarray(x, float), np.asarray(alpha, float))
+    e = energy(params, K, np.asarray(x, float), np.asarray(alpha, float))
     e0 = float(e[0])
     drifts = np.abs(e - e0)
     return Trajectory(
         params=params,
         K=K,
-        states=states,
+        s=s,
+        x=x,
+        y=y,
+        alpha=alpha,
         energy0=e0,
         max_energy_drift=float(drifts.max()),
         termination=termination,
-        energy_drifts=tuple(float(d) for d in drifts),
+        energy_drifts=drifts,
     )
 
 
@@ -162,30 +173,28 @@ def alpha_bracket(params: BergerParams, K: float, x: float, alpha: float) -> flo
     alpha' = tan(x)/sin(alpha) * bracket.  Exposed separately because the
     prefactor is singular where sin(alpha) = 0 while the product can have a
     finite limit (e.g. the totally geodesic spheres of the round case, for
-    which the bracket vanishes identically).
+    which the bracket vanishes identically).  The last term is written with
+    cos^2 x rather than 1 - sin^2 x, which cancels near the pole.
     """
-    lam = params.lam
-    u = math.sin(x) ** 2
-    P = 1.0 - lam * u
-    R = 1.0 - 2.0 * lam * u
-    c2 = math.cos(alpha) ** 2
-    return P / R * K - c2 * ((1.0 - lam) / P + 4.0 * lam * (1.0 - u) / R)
-
-
-def _rhs_raw(params: BergerParams, K: float, x: float, alpha: float):
-    """System right-hand side without singularity guards (integration core)."""
     lam = params.lam
     sx = math.sin(x)
     cx = math.cos(x)
-    sa = math.sin(alpha)
     u = sx * sx
     P = 1.0 - lam * u
     R = 1.0 - 2.0 * lam * u
     c2 = math.cos(alpha) ** 2
-    bracket = P / R * K - c2 * ((1.0 - lam) / P + 4.0 * lam * cx * cx / R)
+    return P / R * K - c2 * ((1.0 - lam) / P + 4.0 * lam * cx * cx / R)
+
+
+def _rhs_raw(params: BergerParams, K: float, x: float, alpha: float):
+    """System right-hand side without singularity guards (integration core)."""
+    sx = math.sin(x)
+    cx = math.cos(x)
+    sa = math.sin(alpha)
+    P = 1.0 - params.lam * sx * sx
     dx = math.cos(alpha)
     dy = math.sqrt(P) / (params.tau * cx) * sa
-    dalpha = sx / cx / sa * bracket
+    dalpha = sx / cx / sa * alpha_bracket(params, K, x, alpha)
     return dx, dy, dalpha
 
 
@@ -374,10 +383,10 @@ def apply_symmetry(
             traj.params, traj.K, s, x, 2.0 * y0 - y, -a, traj.termination
         )
     if sym == "pole_continue":
-        if math.sin(traj.states[-1].x) < 1.0 - 10.0 * EPS_POLE:
+        if math.sin(traj.x[-1]) < 1.0 - 10.0 * EPS_POLE:
             raise DomainError(
                 "pole_continue requires the terminal state at the pole "
-                f"(sin x = {math.sin(traj.states[-1].x)!r})"
+                f"(sin x = {math.sin(traj.x[-1])!r})"
             )
         return _make_trajectory(
             traj.params, traj.K, s, x, y + math.pi, a, traj.termination
@@ -477,7 +486,7 @@ def frobenius_residual(traj: Trajectory) -> float:
     from central second differences (second-order accurate on uniform or
     smoothly graded grids).
     """
-    if len(traj.states) < 64:
+    if len(traj.s) < 64:
         raise DomainError("need at least 64 samples for second differences")
     s, x, _, _ = traj.arrays()
     lam = traj.params.lam

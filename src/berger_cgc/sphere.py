@@ -27,17 +27,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import phase
 from .errors import (
     AccuracyError,
     BracketError,
-    CriticalPointError,
     DomainError,
     EmbeddednessBoundaryError,
     NoSphereError,
 )
-from .geometry import AmbientPoint, BergerParams, make_params
-from .profile import ProfileState, Trajectory, _make_trajectory, clifford_solution
+# AmbientPoint is not called here; bench/tracing.py counts vertex objects
+# by patching this binding and expects the count to stay 0
+from .geometry import UNIT_NORM_TOL, AmbientPoint, BergerParams, make_params  # noqa: F401
+from .profile import Trajectory, _make_trajectory, clifford_solution
 from .quadrature import CumulativeGauss, tanhsinh
 
 __all__ = [
@@ -75,19 +75,28 @@ class SphereSolution:
     degenerate_threshold: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Triangulated surface of revolution on the unit 3-sphere.
 
-    ``vertices`` is a list of (AmbientPoint, s, t); ``triangles`` holds
-    index triples with consistent orientation.  For sphere meshes the two
-    profile endpoints on the axis are collapsed to single pole vertices.
+    ``vertices`` is an (N, 4) float array of points (Re z, Im z, Re w, Im w),
+    each on the unit sphere within ``UNIT_NORM_TOL``; ``triangles`` is an
+    (M, 3) int array of vertex indices with consistent orientation.  For
+    sphere meshes the two profile endpoints on the axis are collapsed to
+    single pole vertices, at indices 0 and 1.
     """
 
-    vertices: tuple
-    triangles: tuple
+    vertices: np.ndarray
+    triangles: np.ndarray
     n_s: int
     n_t: int
+
+    def __post_init__(self):
+        off = np.abs(np.sum(self.vertices * self.vertices, axis=1) - 1.0)
+        if not np.all(off <= UNIT_NORM_TOL):  # also rejects non-finite vertices
+            raise DomainError(
+                f"mesh vertices off the unit sphere: ||v|^2 - 1| up to {np.max(off)!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -119,33 +128,45 @@ def horizontal_radius(params: BergerParams, K: float) -> float:
     return math.asin(math.sqrt(min(1.0, sin2_horizontal_radius(params, K))))
 
 
-def _h_integrand(params: BergerParams, K: float):
-    """Vectorized integrand of the vertical radius over x in [0, r].
+class _Factors:
+    """Factored, cancellation-free pieces of the unit-energy level relation.
 
-    Written entirely in factored, cancellation-free pieces:
-      numerator^2 = u * poly(u)           (u = sin^2 x),
-      denominator^2 = cos^2 x * Q with
-      Q = K sin(r - x) sin(r + x) * (lam_u2 - lam u),
+    With u = sin^2 x on the sphere profile (0 <= x <= r):
+      N(u) = u * poly(u), the squared numerator of dy/dx times tau cos x;
+      Q(d, u) = K sin(d) sin(2 r - d) * (lam_u2 - lam u), with d = r - x,
     where lam_u2 = (1 + sqrt(1 - 4 lam / K)) / 2 is lam times the second
-    root of Q(u).  The integrand takes the distance d = r - x directly.
+    root of Q(u).  Q takes the distance d to the turning point directly, so
+    it vanishes there without cancellation.
     """
-    lam = params.lam
-    tau = params.tau
-    sroot = math.sqrt(1.0 - 4.0 * lam / K)
-    lam_u2 = (1.0 + sroot) / 2.0
-    r = horizontal_radius(params, K)
-    c1 = K - 3.0 * lam - 1.0
-    c2 = 4.0 * lam * lam + 4.0 * lam - 2.0 * K * lam
-    c3 = lam * lam * (K - 4.0)
+
+    def __init__(self, params: BergerParams, K: float):
+        lam = params.lam
+        self.lam, self.tau, self.K = lam, params.tau, K
+        sroot = math.sqrt(1.0 - 4.0 * lam / K)
+        self.lam_u2 = (1.0 + sroot) / 2.0
+        self.r = horizontal_radius(params, K)
+        self.c1 = K - 3.0 * lam - 1.0
+        self.c2 = 4.0 * lam * lam + 4.0 * lam - 2.0 * K * lam
+        self.c3 = lam * lam * (K - 4.0)
+
+    def N(self, u):
+        return np.maximum(u * (self.c1 + u * (self.c2 + u * self.c3)), 0.0)
+
+    def Q(self, d, u):
+        return self.K * np.sin(d) * np.sin(2.0 * self.r - d) * (self.lam_u2 - self.lam * u)
+
+
+def _h_integrand(params: BergerParams, K: float):
+    """Vectorized integrand of the vertical radius over x in [0, r],
+    sqrt(N) / (tau cos x sqrt(Q)), taking d = r - x as the right-endpoint
+    distance."""
+    fac = _Factors(params, K)
 
     def f(x, d_left, d_right):
         u = np.sin(x) ** 2
-        N = u * (c1 + u * (c2 + u * c3))
-        N = np.maximum(N, 0.0)
-        Q = K * np.sin(d_right) * np.sin(2.0 * r - d_right) * (lam_u2 - lam * u)
-        return np.sqrt(N) / (np.cos(x) * np.sqrt(Q)) / tau
+        return np.sqrt(fac.N(u)) / (np.cos(x) * np.sqrt(fac.Q(d_right, u))) / fac.tau
 
-    return f, r
+    return f, fac.r
 
 
 def vertical_radius(params: BergerParams, K: float, *, atol: float = 1e-10) -> float:
@@ -255,7 +276,7 @@ def embeddedness_boundary(
 # ---------------------------------------------------------------------------
 
 
-class _HalfProfile:
+class _HalfProfile(_Factors):
     """First half of the sphere profile, parametrized by x = r sin(theta).
 
     The substitution cancels the square-root turning singularity at x = r,
@@ -264,38 +285,28 @@ class _HalfProfile:
     """
 
     def __init__(self, params: BergerParams, K: float, n_panels: int = 256):
-        lam = params.lam
-        tau = params.tau
-        sroot = math.sqrt(1.0 - 4.0 * lam / K)
-        lam_u2 = (1.0 + sroot) / 2.0
-        r = horizontal_radius(params, K)
-        c1 = K - 3.0 * lam - 1.0
-        c2 = 4.0 * lam * lam + 4.0 * lam - 2.0 * K * lam
-        c3 = lam * lam * (K - 4.0)
-        self.params, self.K, self.r = params, K, r
-
-        def pieces(theta):
-            x = r * np.sin(theta)
-            d = 2.0 * r * np.sin(0.25 * math.pi - 0.5 * theta) ** 2  # r - x, stable
-            u = np.sin(x) ** 2
-            P = 1.0 - lam * u
-            Q = K * np.sin(d) * np.sin(2.0 * r - d) * (lam_u2 - lam * u)
-            return x, u, P, Q
-
-        def ds_dtheta(theta):
-            x, u, P, Q = pieces(theta)
-            return r * np.cos(theta) * (1.0 - 2.0 * lam * u) * np.cos(x) / np.sqrt(Q * P)
-
-        def dy_dtheta(theta):
-            x, u, P, Q = pieces(theta)
-            N = np.maximum(u * (c1 + u * (c2 + u * c3)), 0.0)
-            return r * np.cos(theta) * np.sqrt(N) / (np.cos(x) * np.sqrt(Q)) / tau
-
-        self._ds = ds_dtheta
-        self._s_of_theta = CumulativeGauss(ds_dtheta, 0.0, math.pi / 2.0, n_panels)
-        self._y_of_theta = CumulativeGauss(dy_dtheta, 0.0, math.pi / 2.0, n_panels)
+        super().__init__(params, K)
+        self._s_of_theta = CumulativeGauss(self._ds_dtheta, 0.0, math.pi / 2.0, n_panels)
+        self._y_of_theta = CumulativeGauss(self._dy_dtheta, 0.0, math.pi / 2.0, n_panels)
         self.half_length = self._s_of_theta.total
         self.h = self._y_of_theta.total
+
+    def _pieces(self, theta):
+        """x, u = sin^2 x, P = 1 - lam u and Q at x = r sin(theta)."""
+        r = self.r
+        x = r * np.sin(theta)
+        d = 2.0 * r * np.sin(0.25 * math.pi - 0.5 * theta) ** 2  # r - x, stable
+        u = np.sin(x) ** 2
+        P = 1.0 - self.lam * u
+        return x, u, P, self.Q(d, u)
+
+    def _ds_dtheta(self, theta):
+        x, u, P, Q = self._pieces(theta)
+        return self.r * np.cos(theta) * (1.0 - 2.0 * self.lam * u) * np.cos(x) / np.sqrt(Q * P)
+
+    def _dy_dtheta(self, theta):
+        x, u, P, Q = self._pieces(theta)
+        return self.r * np.cos(theta) * np.sqrt(self.N(u)) / (np.cos(x) * np.sqrt(Q)) / self.tau
 
     def theta_of_s(self, s):
         """Invert the monotone arc length s(theta) by safeguarded Newton."""
@@ -307,21 +318,15 @@ class _HalfProfile:
         for _ in range(6):
             theta = np.clip(theta, 0.0, hi)
             resid = self._s_of_theta.value(theta) - s
-            theta = theta - resid / self._ds(theta)
+            theta = theta - resid / self._ds_dtheta(theta)
         theta = np.clip(theta, 0.0, hi)
         return theta
 
     def cos_alpha(self, theta):
         """cos(alpha) along the half profile (the unit-energy level relation)."""
-        lam = self.params.lam
-        x = self.r * np.sin(theta)
-        d = 2.0 * self.r * np.sin(0.25 * math.pi - 0.5 * theta) ** 2
-        u = np.sin(x) ** 2
-        P = 1.0 - lam * u
-        sroot = math.sqrt(1.0 - 4.0 * lam / self.K)
-        Q = self.K * np.sin(d) * np.sin(2.0 * self.r - d) * ((1.0 + sroot) / 2.0 - lam * u)
+        x, u, P, Q = self._pieces(theta)
         C = np.cos(x) ** 2
-        R = (1.0 - 2.0 * lam * u) ** 2
+        R = (1.0 - 2.0 * self.lam * u) ** 2
         return np.sqrt(np.clip(Q * P / (R * C), 0.0, 1.0))
 
     def y_minus_h(self, theta):
@@ -336,23 +341,22 @@ def build_sphere(
     *,
     spacing: Optional[float] = None,
     n_panels: int = 256,
-    trace_gate: bool = True,
 ) -> SphereSolution:
     """Assemble the sphere solution for curvature K >= k0.
 
-    The unit-energy level curve is traced from (0, 1) to (0, -1) as an
-    existence gate, then arc length and fiber angle are recovered along the
-    monotone half x in [0, r] and mirrored through the turning point; the
-    fiber angle is normalized to vanish at the equator, so the profile runs
-    from (x, y) = (0, -h) to (0, +h).
+    Existence is the closed form K >= k0 (NoSphereError below it).  Arc
+    length and fiber angle are recovered along the monotone half x in
+    [0, r] of the unit-energy level curve and mirrored through the turning
+    point; the fiber angle is normalized to vanish at the equator, so the
+    profile runs from (x, y) = (0, -h) to (0, +h).  The profile is built as
+    arrays, with no per-sample objects.
 
     ``samples`` is rounded up to an odd count so the equator is an exact
     sample; ``spacing`` (if given) overrides it with a uniform arc-length
-    step.  Within 1e-6 of the threshold K = k0 the corner (0, 1) of phase
-    space is a degenerate trace start; the gate is skipped there and the
-    solution is flagged ``degenerate_threshold`` (the closed forms remain
-    valid for tau <= 1, while for tau > 1 the vertical radius diverges and
-    AccuracyError is raised).
+    step.  Within 1e-6 of the threshold K = k0 the solution is flagged
+    ``degenerate_threshold``: the closed forms remain valid for tau <= 1,
+    while for tau > 1 the profile reaches the pole, the vertical radius
+    diverges and AccuracyError is raised.
     """
     _check_exists(params, K)
     u1 = sin2_horizontal_radius(params, K)
@@ -363,16 +367,6 @@ def build_sphere(
             achieved=math.inf,
         )
     degenerate = (K - params.k0) <= DEGENERATE_K_TOL * max(1.0, abs(params.k0))
-    if trace_gate and not degenerate:
-        curve = phase.trace_level_curve(
-            params, K, 1.0, phase.PhasePoint(0.0, 1.0), 1
-        )
-        end = curve.end
-        if curve.closed or abs(end.X) > 1e-6 or abs(end.Y + 1.0) > 1e-6:
-            raise CriticalPointError(
-                "unit-energy level curve failed to connect (0, 1) to (0, -1)",
-                partial=curve,
-            )
 
     half = _HalfProfile(params, K, n_panels=n_panels)
     T = 2.0 * half.half_length
@@ -420,13 +414,27 @@ def build_sphere(
 # ---------------------------------------------------------------------------
 
 
-def _ring(state: ProfileState, ts: np.ndarray):
-    cz = complex(math.cos(state.y), math.sin(state.y)) * math.cos(state.x)
-    sx = math.sin(state.x)
-    return [
-        (AmbientPoint(cz, complex(math.cos(t), math.sin(t)) * sx), state.s, float(t))
-        for t in ts
-    ]
+def _rings(x, y, n_t: int) -> np.ndarray:
+    """Ring product of profile samples (x, y) with t = 2 pi j / n_t:
+    the (len(x) * n_t, 4) points (e^{iy} cos x, e^{it} sin x), ring by ring."""
+    t = np.arange(n_t) * (2.0 * math.pi / n_t)
+    cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
+    v = np.empty((len(x), n_t, 4))
+    v[..., 0] = np.cos(y)[:, None] * cx
+    v[..., 1] = np.sin(y)[:, None] * cx
+    v[..., 2] = np.cos(t) * sx
+    v[..., 3] = np.sin(t) * sx
+    return v.reshape(-1, 4)
+
+
+def _quads(grid: np.ndarray) -> np.ndarray:
+    """Quad-strip triangulation between consecutive rows of the vertex index
+    grid (rows are rings, columns wrap around the axis): quad
+    (a, b, c, d) = ((i, j), (i+1, j), (i+1, j+1), (i, j+1)) splits into
+    (a, b, c) and (a, c, d)."""
+    a, b = grid[:-1], grid[1:]
+    d, c = np.roll(a, -1, axis=1), np.roll(b, -1, axis=1)
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def build_mesh(sol: SphereSolution, n_t: int = 128) -> SurfaceMesh:
@@ -439,34 +447,23 @@ def build_mesh(sol: SphereSolution, n_t: int = 128) -> SurfaceMesh:
     """
     if n_t < 3:
         raise DomainError("n_t must be at least 3")
-    interior = [st for st in sol.profile.states if math.sin(st.x) > 1e-9]
-    if len(interior) < 3:
+    _, x, y, _ = sol.profile.arrays()
+    interior = np.sin(x) > 1e-9
+    n_rings = int(np.count_nonzero(interior))
+    if n_rings < 3:
         raise DomainError("profile too coarse to mesh (need >= 3 interior samples)")
-    ts = np.arange(n_t) * (2.0 * math.pi / n_t)
-    first, last = sol.profile.states[0], sol.profile.states[-1]
-    verts = [
-        (AmbientPoint(complex(math.cos(first.y), math.sin(first.y)), 0.0), first.s, 0.0),
-        (AmbientPoint(complex(math.cos(last.y), math.sin(last.y)), 0.0), last.s, 0.0),
-    ]
-    for st in interior:
-        verts.extend(_ring(st, ts))
+    poles = np.zeros((2, 4))
+    poles[:, 0], poles[:, 1] = np.cos(y[[0, -1]]), np.sin(y[[0, -1]])
+    verts = np.concatenate([poles, _rings(x[interior], y[interior], n_t)])
 
-    def rid(i, j):
-        return 2 + i * n_t + (j % n_t)
-
-    tris = []
-    for j in range(n_t):
-        tris.append((0, rid(0, j), rid(0, j + 1)))
-    n_rings = len(interior)
-    for i in range(n_rings - 1):
-        for j in range(n_t):
-            a, b = rid(i, j), rid(i + 1, j)
-            c, d = rid(i + 1, j + 1), rid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    for j in range(n_t):
-        tris.append((1, rid(n_rings - 1, j + 1), rid(n_rings - 1, j)))
-    return SurfaceMesh(tuple(verts), tuple(tris), n_rings, n_t)
+    grid = 2 + np.arange(n_rings * n_t).reshape(n_rings, n_t)
+    first, last = grid[0], grid[-1]
+    tris = np.concatenate([
+        np.stack([np.zeros_like(first), first, np.roll(first, -1)], axis=-1),
+        _quads(grid),
+        np.stack([np.ones_like(last), np.roll(last, -1), last], axis=-1),
+    ])
+    return SurfaceMesh(verts, tris, n_rings, n_t)
 
 
 def build_torus_mesh(
@@ -476,23 +473,11 @@ def build_torus_mesh(
     if n_s < 3 or n_t < 3:
         raise DomainError("need n_s >= 3 and n_t >= 3")
     traj = clifford_solution(params, x0, n_samples=n_s + 1)
-    rings = traj.states[:-1]  # the last state repeats the first circle
-    ts = np.arange(n_t) * (2.0 * math.pi / n_t)
-    verts = []
-    for st in rings:
-        verts.extend(_ring(st, ts))
-
-    def rid(i, j):
-        return (i % n_s) * n_t + (j % n_t)
-
-    tris = []
-    for i in range(n_s):
-        for j in range(n_t):
-            a, b = rid(i, j), rid(i + 1, j)
-            c, d = rid(i + 1, j + 1), rid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return SurfaceMesh(tuple(verts), tuple(tris), n_s, n_t)
+    # the last sample repeats the first circle
+    verts = _rings(traj.x[:-1], traj.y[:-1], n_t)
+    grid = np.arange(n_s * n_t).reshape(n_s, n_t)
+    tris = _quads(np.concatenate([grid, grid[:1]]))
+    return SurfaceMesh(verts, tris, n_s, n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +491,16 @@ PROJECTION_POLE = (0.0, 0.0, 0.0, -1.0)
 def stereographic(v4) -> np.ndarray:
     """Stereographic projection R^4 -> R^3 from (0, 0, 0, -1).
 
-    A viewing map only: it distorts the Berger metric, and no projection is
+    Takes one point of shape (4,) or an (N, 4) array and projects along the
+    last axis; DomainError if any point is at the projection pole.  A
+    viewing map only: it distorts the Berger metric, and no projection is
     canonical for these surfaces.
     """
     v4 = np.asarray(v4, dtype=float)
-    denom = 1.0 + v4[3]
-    if abs(denom) < 1e-12:
+    denom = 1.0 + v4[..., 3]
+    if np.any(np.abs(denom) < 1e-12):
         raise DomainError("vertex at the projection pole (0, 0, 0, -1)")
-    return v4[:3] / denom
+    return v4[..., :3] / denom[..., None]
 
 
 def write_obj(mesh: SurfaceMesh, fileobj, *, header=()) -> None:
@@ -526,8 +513,7 @@ def write_obj(mesh: SurfaceMesh, fileobj, *, header=()) -> None:
     for line in header:
         fileobj.write(f"# {line}\n")
     fileobj.write(f"# stereographic projection from pole {PROJECTION_POLE}\n")
-    for point, _, _ in mesh.vertices:
-        p3 = stereographic(point.vec4())
-        fileobj.write(f"v {p3[0]:.17g} {p3[1]:.17g} {p3[2]:.17g}\n")
-    for a, b, c in mesh.triangles:
-        fileobj.write(f"f {a + 1} {b + 1} {c + 1}\n")
+    p3 = stereographic(mesh.vertices)
+    fileobj.write("v %.17g %.17g %.17g\n" * len(p3) % tuple(p3.ravel().tolist()))
+    faces = mesh.triangles + 1
+    fileobj.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))

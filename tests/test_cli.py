@@ -118,6 +118,15 @@ class TestSphereCommand:
         assert rc == cli.EXIT_NO_SPHERE
         assert "2.3125" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau,K", [("2", "0.2500025"), ("1", "1.00001")])
+    def test_existing_sphere_just_above_threshold(self, tau, K, tmp_path, capsys):
+        # K > k0: the sphere exists, whatever a level-curve trace from the
+        # corner (0, 1) of phase space makes of it
+        rc = cli.main(["sphere", "--tau", tau, "--k", K, "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "spheres.csv")
+        assert math.isfinite(float(rows[0][3]))
+
     def test_pole_touching_threshold_reported(self, tmp_path, capsys):
         rc = cli.main(["sphere", "--tau", "2", "--k", "0.25", "--out", str(tmp_path)])
         assert rc == 0
@@ -176,6 +185,16 @@ class TestEmbedRegionCommand:
         assert "fully embedded" in capsys.readouterr().out
         assert not (tmp_path / "boundary.csv").exists()
 
+    def test_unconverged_quadrature_is_an_accuracy_failure(self, tmp_path, capsys):
+        # tanh-sinh does not converge at tau = 2 this close to k0, but h is
+        # finite: the cell must not be written as a divergent h = inf
+        rc = cli.main([
+            "embed-region", "--tau", "2", "--tau", "2.5", "--k", "0.2500000025",
+            "--out", str(tmp_path),
+        ])
+        assert rc == cli.EXIT_ACCURACY
+        assert not (tmp_path / "region.csv").exists()
+
     def test_workers_match_serial(self, tmp_path):
         a = tmp_path / "serial"
         b = tmp_path / "pool"
@@ -199,6 +218,14 @@ class TestVerifyCommand:
             "symmetry",
             "route_equivalence",
         }
+
+    def test_explicit_tol_is_used(self, capsys):
+        # --tol 1e-8 is the common default of the other commands; given
+        # explicitly to verify it must set the energy budget (100 x tol)
+        rc = cli.main(["verify", "--tol", "1e-8"])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["suites"]["energy_conservation"]["budget"] == 1e-06
 
     def test_relaxed_tolerance_still_passes_energy(self, capsys):
         # the energy budget scales with the requested tolerance

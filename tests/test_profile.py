@@ -20,6 +20,7 @@ from berger_cgc import (
 )
 from berger_cgc.geometry import metric, tangent_projection
 from berger_cgc.profile import (
+    _make_trajectory,
     alpha_bracket,
     geodesic_sphere_solution,
     rhs_residual,
@@ -409,3 +410,33 @@ class TestFrobenius:
         bound = (s[1] - s[0]) ** 2 * d4 / 12.0
         res = frobenius_residual(sol.profile)
         assert res <= 2.0 * bound + 1e-9
+
+
+class TestTrajectoryArrays:
+    def test_read_only_arrays_and_states_view(self):
+        traj = clifford_solution(make_params(0.75), 0.6, n_samples=33)
+        for a in traj.arrays() + (traj.energy_drifts,):
+            assert a.dtype == float and a.shape == (33,)
+            assert not a.flags.writeable
+        states = traj.states
+        assert len(states) == 33
+        assert all(isinstance(st, ProfileState) for st in states)
+        assert [st.y for st in states] == traj.y.tolist()
+
+    @pytest.mark.parametrize("column", ["s", "x", "y", "alpha"])
+    def test_non_finite_sample_rejected(self, column):
+        cols = {c: np.linspace(0.1, 0.5, 8) for c in ("s", "x", "y", "alpha")}
+        cols[column][3] = math.nan
+        with pytest.raises(DomainError, match=f"component {column}"):
+            _make_trajectory(make_params(0.75), 3.0, termination="step_limit", **cols)
+
+    def test_negative_sin_x_rejected(self):
+        s = np.linspace(0.0, 1.0, 8)
+        x = np.linspace(0.1, -0.1, 8)
+        with pytest.raises(DomainError, match="sin x >= 0"):
+            _make_trajectory(make_params(0.75), 3.0, s, x, s, s, "step_limit")
+
+    def test_s_must_increase(self):
+        s = np.array([0.0, 0.1, 0.1, 0.2])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            _make_trajectory(make_params(0.75), 3.0, s, s + 0.3, s, s + 0.5, "step_limit")

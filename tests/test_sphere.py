@@ -22,7 +22,7 @@ from berger_cgc import (
     vertical_radius,
 )
 from berger_cgc.profile import frobenius_residual
-from berger_cgc.sphere import stereographic, write_obj
+from berger_cgc.sphere import SurfaceMesh, stereographic, write_obj
 
 # vertical radii computed independently with 40-digit arithmetic
 H_ORACLE = {
@@ -308,8 +308,22 @@ class TestMeshes:
     def test_sphere_mesh_vertices_on_unit_sphere(self):
         sol = build_sphere(make_params(0.5), 4.0, samples=128)
         mesh = build_mesh(sol, n_t=16)
-        for point, _, _ in mesh.vertices:
-            assert abs(abs(point.z) ** 2 + abs(point.w) ** 2 - 1.0) <= 1e-10
+        v = mesh.vertices
+        assert v.shape == (len(v), 4)
+        assert np.max(np.abs(np.sum(v * v, axis=1) - 1.0)) <= 1e-10
+
+    def test_builders_make_no_per_sample_objects(self, monkeypatch):
+        # profiles and meshes are arrays end to end
+        from berger_cgc import AmbientPoint, ProfileState
+
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__} constructed")
+
+        monkeypatch.setattr(ProfileState, "__post_init__", refuse)
+        monkeypatch.setattr(AmbientPoint, "__post_init__", refuse)
+        mesh = build_mesh(build_sphere(make_params(0.75), 3.0, samples=128), n_t=16)
+        assert mesh.vertices.shape == (mesh.n_s * 16 + 2, 4)
+        assert mesh.triangles.shape == (2 * mesh.n_s * 16, 3)
 
     def test_sphere_mesh_needs_three_rings(self):
         sol = build_sphere(make_params(0.75), 3.0, samples=128)
@@ -347,3 +361,16 @@ class TestMeshes:
         assert np.allclose(stereographic([1.0, 0, 0, 0]), [1, 0, 0])
         with pytest.raises(DomainError):
             stereographic([0.0, 0.0, 0.0, -1.0])
+        # array-wide: one pole vertex among many is refused
+        with pytest.raises(DomainError):
+            stereographic([[1.0, 0, 0, 0], [0.0, 0.0, 0.0, -1.0]])
+        assert np.allclose(stereographic([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]), [[1, 0, 0], [0, 0, 1]])
+
+    def test_mesh_vertices_must_be_on_unit_sphere(self):
+        tri = np.array([[0, 1, 2]])
+        SurfaceMesh(np.eye(4)[:3], tri, 1, 3)
+        for bad in (1.0 + 1e-9, math.nan):
+            v = np.eye(4)[:3].copy()
+            v[1, 1] = bad
+            with pytest.raises(DomainError):
+                SurfaceMesh(v, tri, 1, 3)
