@@ -452,8 +452,8 @@ def build_mesh(sol: SphereSolution, n_t: int = 128) -> SurfaceMesh:
     n_rings = int(np.count_nonzero(interior))
     if n_rings < 3:
         raise DomainError("profile too coarse to mesh (need >= 3 interior samples)")
-    poles = np.zeros((2, 4))
-    poles[:, 0], poles[:, 1] = np.cos(y[[0, -1]]), np.sin(y[[0, -1]])
+    # each axis endpoint is a ring at x = 0 collapsed to one vertex
+    poles = _rings(np.zeros(2), y[[0, -1]], 1)
     verts = np.concatenate([poles, _rings(x[interior], y[interior], n_t)])
 
     grid = 2 + np.arange(n_rings * n_t).reshape(n_rings, n_t)

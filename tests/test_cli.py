@@ -14,6 +14,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one %-format per row gives the same bytes as formatting each value
+    # with :.17g, including the special and extreme floats
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.5,
+              0.1, 1 / 3, math.pi, math.inf, -math.inf, math.nan]
+    rows = [(v, i, -v) for i, v in enumerate(values)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ("a", "i", "b"), rows, "%.17g,%d,%.17g")
+    want = "a,i,b\n" + "".join(f"{a:.17g},{i},{b:.17g}\n" for a, i, b in rows)
+    assert path.read_text() == want
+
+
 class TestThresholds:
     def test_values_and_exit(self, tmp_path, capsys):
         rc = cli.main(["thresholds", "--tau", "0.75", "--tau", "2", "--out", str(tmp_path)])
