@@ -55,27 +55,11 @@ def _bool(v) -> str:
     return "true" if v else "false"
 
 
-def _parse_range(text):
-    """a:b:n -> n evenly spaced values from a to b inclusive."""
-    try:
-        a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError as exc:
-        raise DomainError(f"bad range {text!r}, expected a:b:n") from exc
-    if n < 2:
-        raise DomainError("range needs at least 2 points")
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
-
-
 def _values(args, name):
-    """Merge --<name> and --<name>-range into one list."""
-    vals = []
-    single = getattr(args, name)
-    rng = getattr(args, f"{name}_range")
-    if single is not None:
-        vals.extend(single)
-    if rng is not None:
-        vals.extend(_parse_range(rng))
+    """Merge --<name> and --<name>-range into one list, which must not be empty."""
+    vals = (getattr(args, name) or []) + (getattr(args, f"{name}_range") or [])
+    if not vals:
+        raise DomainError(f"need --{name} or --{name}-range")
     return vals
 
 
@@ -89,7 +73,7 @@ def _slug(v: float) -> str:
 
 
 def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
-    """polylines: list of (points, stroke_width); maps data box to pixels."""
+    """polylines: list of ((N, 2) points, stroke_width); maps data box to pixels."""
     x0, x1 = x_range
     y0, y1 = y_range
     w = size
@@ -97,12 +81,6 @@ def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
         h = int(round(size * (y1 - y0) / (x1 - x0))) or size
     else:
         h = size
-
-    def px(p):
-        return (
-            (p[0] - x0) / (x1 - x0) * w,
-            h - (p[1] - y0) / (y1 - y0) * h,
-        )
 
     with open(path, "w", newline="\n") as f:
         f.write(
@@ -113,7 +91,9 @@ def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
         for points, stroke_width in polylines:
             if len(points) < 2:
                 continue
-            coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in map(px, points))
+            pixels = (np.asarray(points, dtype=float) - (x0, y0)) / (x1 - x0, y1 - y0) * (w, h)
+            pixels[:, 1] = h - pixels[:, 1]
+            coords = " ".join(["%.2f,%.2f"] * len(pixels)) % tuple(pixels.ravel().tolist())
             f.write(
                 f'<polyline points="{coords}" fill="none" stroke="black" '
                 f'stroke-width="{stroke_width}"/>\n'
@@ -128,9 +108,6 @@ def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
 
 def cmd_thresholds(args) -> int:
     taus = _values(args, "tau")
-    if not taus:
-        print("thresholds: need --tau or --tau-range", file=sys.stderr)
-        return EXIT_CONFIG
     rows = []
     print(f"{'tau':>12} {'lambda':>12} {'K0':>12} {'KP':>12}  new-examples K")
     for tau in taus:
@@ -155,7 +132,7 @@ def cmd_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_on_segment(f, a, b, fa, fb, iters=80):
+def _bisect_on_segment(f, a, b, fa, iters=80):
     for _ in range(iters):
         m = 0.5 * (a + b)
         fm = f(m)
@@ -164,7 +141,7 @@ def _bisect_on_segment(f, a, b, fa, fb, iters=80):
         if (fm > 0.0) == (fa > 0.0):
             a, fa = m, fm
         else:
-            b, fb = m, fm
+            b = m
     return 0.5 * (a + b)
 
 
@@ -180,9 +157,7 @@ def _seeds_for_level(params, K, level, n_scan=800):
             g = lambda v: float(
                 phase.energy_values(params, K, *make_point(v)) - level
             )
-            v = _bisect_on_segment(
-                g, t[i], t[i + 1], float(F[i]), float(F[i + 1])
-            )
+            v = _bisect_on_segment(g, t[i], t[i + 1], float(F[i]))
             seeds.append(phase.PhasePoint(*make_point(v)))
 
     scan(np.zeros_like(t), 2.0 * t - 1.0, lambda v: (0.0, 2.0 * v - 1.0))
@@ -211,11 +186,8 @@ def _trace_both_ways(params, K, level, seed):
     return [(seed.X, seed.Y)]
 
 
-def _contour_polylines(params, K, levels, notes=None):
-    """Traced polylines per level, deduplicating seeds already covered.
-
-    Tracing problems are collected into ``notes`` and the run continues.
-    """
+def _contour_polylines(params, K, levels):
+    """Traced polylines per level, deduplicating seeds already covered."""
     out = []
     for level in levels:
         seeds = _seeds_for_level(params, K, level)
@@ -227,12 +199,7 @@ def _contour_polylines(params, K, levels, notes=None):
                 )
                 if d < 2e-2:
                     continue
-            try:
-                pts = _trace_both_ways(params, K, level, seed)
-            except Exception as exc:
-                if notes is not None:
-                    notes.append(f"level {level:g}: trace failed at seed: {exc}")
-                continue
+            pts = _trace_both_ways(params, K, level, seed)
             if len(pts) < 2:
                 continue
             out.append((level, pts))
@@ -242,47 +209,37 @@ def _contour_polylines(params, K, levels, notes=None):
 
 def _phase_cell(task):
     """One (tau, K) portrait: energy grid plus traced contour polylines."""
-    tau, K, n, levels_arg = task
+    tau, K, n, levels = task
     p = make_params(tau)
     near = abs(K - p.k0) <= 1e-9 * max(1.0, abs(p.k0))
     verdict = "boundary" if near else ("yes" if phase.sphere_exists(p, K) else "no")
     X, Y = np.meshgrid(np.linspace(0, 1, n), np.linspace(-1, 1, n))
     F = phase.energy_values(p, K, X, Y)
-    if levels_arg:
-        levels = [float(v) for v in levels_arg.split(",")]
-    else:
+    if levels is None:
         lo, hi = float(F.min()), float(F.max())
         levels = sorted(set(np.round(np.linspace(lo, hi, 13)[1:-1], 6)) | {1.0})
-    notes = []
-    polylines = _contour_polylines(p, K, levels, notes)
-    return verdict, p.k0, X, Y, F, polylines, notes
+    polylines = _contour_polylines(p, K, levels)
+    return verdict, p.k0, X, Y, F, polylines
 
 
 def cmd_phase(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    if not taus or not ks:
-        print("phase: need --tau/--tau-range and --k/--k-range", file=sys.stderr)
-        return EXIT_CONFIG
-    n = args.grid
-    formats = args.format.split(",")
-    tasks = [(tau, K, n, args.levels) for tau in taus for K in ks]
+    tasks = [(tau, K, args.grid, args.levels) for tau in taus for K in ks]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             cells = list(pool.map(_phase_cell, tasks))
     else:
         cells = [_phase_cell(t) for t in tasks]
-    for (tau, K, _, _), (verdict, k0, X, Y, F, polylines, notes) in zip(tasks, cells):
+    for (tau, K, _, _), (verdict, k0, X, Y, F, polylines) in zip(tasks, cells):
         print(
             f"tau={tau:g} K={K:g}: K0={k0:g}, level-1 connects "
             f"(closed form): {verdict}"
         )
-        for note in notes:
-            print(f"  {note}")
         if not args.out:
             continue
         tag = f"tau{_slug(tau)}_K{_slug(K)}"
-        if "csv" in formats:
+        if "csv" in args.format:
             _write_csv(
                 os.path.join(args.out, f"phase_grid_{tag}.csv"),
                 ("X", "Y", "F"),
@@ -298,7 +255,7 @@ def cmd_phase(args) -> int:
                 rows,
                 "%.17g,%d,%.17g,%.17g",
             )
-        if "svg" in formats:
+        if "svg" in args.format:
             svg_lines = [
                 (pts, 2.5 if abs(level - 1.0) < 1e-12 else 1.0)
                 for level, pts in polylines
@@ -328,10 +285,6 @@ def _check_profile_energy(sol, tol=1e-8):
 def cmd_sphere(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    if not taus or not ks:
-        print("sphere: need --tau/--tau-range and --k/--k-range", file=sys.stderr)
-        return EXIT_CONFIG
-    formats = args.format.split(",")
     report_rows = []
     for tau in taus:
         p = make_params(tau)
@@ -362,24 +315,23 @@ def cmd_sphere(args) -> int:
                 continue
             tag = f"tau{_slug(tau)}_K{_slug(K)}"
             s, x, y, a = sol.profile.arrays()
-            if "csv" in formats:
+            if "csv" in args.format:
                 _write_csv(
                     os.path.join(args.out, f"profile_{tag}.csv"),
                     ("s", "x", "y", "alpha", "energy_drift"),
                     zip(s.tolist(), x.tolist(), y.tolist(), a.tolist(),
                         sol.profile.energy_drifts.tolist()),
                 )
-            if "svg" in formats:
-                pts = list(zip(y, x))
+            if "svg" in args.format:
                 my = 1.05 * max(abs(y.min()), abs(y.max())) or 1.0
                 _svg(
                     os.path.join(args.out, f"profile_{tag}.svg"),
-                    [(pts, 1.5)],
+                    [(np.column_stack([y, x]), 1.5)],
                     (-my, my),
                     (0.0, math.pi / 2.0),
                     equal_aspect=True,
                 )
-            if "obj" in formats:
+            if "obj" in args.format:
                 mesh = sphere.build_mesh(sol, n_t=args.mesh_rings)
                 with open(os.path.join(args.out, f"sphere_{tag}.obj"), "w") as f:
                     sphere.write_obj(
@@ -422,12 +374,6 @@ def _region_cell(task):
 def cmd_embed_region(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    if not taus or not ks:
-        print(
-            "embed-region: need --tau/--tau-range and --k/--k-range",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     tasks = [(tau, K) for K in ks for tau in taus]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -438,8 +384,7 @@ def cmd_embed_region(args) -> int:
 
     boundary = []
     for K in ks:
-        slice_cells = [c for c in cells if c is not None and c[1] == K]
-        slice_cells.sort()
+        slice_cells = sorted(c for c in rows if c[1] == K)
         bracket = None
         for (t0, _, h0, _), (t1, _, h1, _) in zip(slice_cells, slice_cells[1:]):
             if math.isfinite(h0) and math.isfinite(h1) and (h0 - math.pi) * (h1 - math.pi) < 0:
@@ -559,10 +504,9 @@ def _suite_routes(tol=1e-7):
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(20240817)
-    rtol = args.tol
     suites = (
         ("boundary_identities", lambda: _suite_boundary_identities(rng)),
-        ("energy_conservation", lambda: _suite_energy(rtol)),
+        ("energy_conservation", lambda: _suite_energy(args.tol)),
         ("frobenius", _suite_frobenius),
         ("symmetry", _suite_symmetry),
         ("route_equivalence", _suite_routes),
@@ -586,72 +530,135 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, which main reports with exit code 2."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
+def _checked(kind, ok, need):
+    """Option type: ``kind(text)``, which must satisfy ``ok``."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _parse_range(text):
+    """a:b:n -> n evenly spaced values from a to b inclusive."""
+    try:
+        a, b, n = text.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected a:b:n") from exc
+    if n < 2:
+        raise argparse.ArgumentTypeError("range needs at least 2 points")
+    return [a + (b - a) * i / (n - 1) for i in range(n)]
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _format_flag(*writable):
+    """--format: a comma list of the output formats the command writes."""
+    names = ",".join(writable)
+    check = _checked(lambda text: text.split(","), set(writable).issuperset, f"from {names}")
+    return ("--format", dict(type=check, default="csv", help=f"comma list from {names}"))
+
+
+# each flag is declared once, as (option, add_argument keywords); its type
+# parses a value and enforces the bound, for flags and config lines alike
+_TAU = ("--tau", dict(type=float, action="append", help="fiber scaling (repeatable)"))
+_TAU_RANGE = ("--tau-range", dict(type=_parse_range, help="a:b:n evenly spaced tau values"))
+_K = ("--k", dict(type=float, action="append", help="Gauss curvature (repeatable)"))
+_K_RANGE = ("--k-range", dict(type=_parse_range, help="a:b:n evenly spaced K values"))
+_SWEEP = (_TAU, _TAU_RANGE, _K, _K_RANGE)
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_WORKERS = ("--workers", dict(type=_checked(int, lambda n: n >= 1, "at least 1"), default=1,
+                              help="worker processes for sweeps"))
+_FILES = (
+    ("--out", dict(help="output directory")),
+    ("--config", dict(help="key=value config file (flags win)")),
+)
+
+#: subcommand -> (handler, the flags it reads besides --out and --config)
+_COMMANDS = {
+    "thresholds": (cmd_thresholds, (_TAU, _TAU_RANGE)),
+    "phase": (cmd_phase, _SWEEP + (
+        ("--grid", dict(type=_checked(int, lambda n: n >= 2, "at least 2"), default=201,
+                        help="phase grid resolution")),
+        ("--levels", dict(type=_float_list, help="comma list of contour levels")),
+        _format_flag("csv", "svg"),
+        _WORKERS,
+    )),
+    "sphere": (cmd_sphere, _SWEEP + (
+        ("--samples", dict(type=int, default=512, help="profile samples")),
+        ("--mesh-rings", dict(type=int, default=128, help="mesh steps around the axis")),
+        _format_flag("csv", "svg", "obj"),
+    )),
+    "embed-region": (cmd_embed_region, _SWEEP + (
+        ("--tol", dict(type=_POSITIVE, default=1e-8, help="tolerance of the root h = pi")),
+        _WORKERS,
+    )),
+    "verify": (cmd_verify, (
+        ("--tol", dict(type=_POSITIVE, default=1e-10, help="rtol of the energy suite")),
+    )),
+}
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="berger-cgc",
         description="Constant-Gauss-curvature surfaces of revolution in Berger spheres",
     )
     ap.add_argument("--version", action="version", version=f"berger-cgc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--tau", type=float, action="append", help="fiber scaling (repeatable)")
-        sp.add_argument("--tau-range", help="a:b:n evenly spaced tau values")
-        sp.add_argument("--k", type=float, action="append", help="Gauss curvature (repeatable)")
-        sp.add_argument("--k-range", help="a:b:n evenly spaced K values")
-        sp.add_argument("--samples", type=int, default=512, help="profile samples")
-        sp.add_argument("--tol", type=float, default=1e-8, help="accuracy target")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--format", default="csv", help="comma list from csv,svg,obj")
-        sp.add_argument("--grid", type=int, default=201, help="phase grid resolution")
-        sp.add_argument("--levels", help="comma list of contour levels")
-        sp.add_argument("--mesh-rings", type=int, default=128, help="mesh steps around the axis")
-        sp.add_argument("--workers", type=int, default=1, help="worker processes for sweeps")
-        sp.add_argument("--config", help="key=value config file (flags win)")
-
-    for name, fn in (
-        ("thresholds", cmd_thresholds),
-        ("phase", cmd_phase),
-        ("sphere", cmd_sphere),
-        ("embed-region", cmd_embed_region),
-        ("verify", cmd_verify),
-    ):
+    for name, (fn, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
+        for option, kwargs in flags + _FILES:
+            sp.add_argument(option, **kwargs)
         sp.set_defaults(func=fn)
-    # verify integrates at rtol 1e-10 unless --tol is given
-    sub.choices["verify"].set_defaults(tol=1e-10)
     return ap
 
 
-def _apply_config(args, argv):
-    """Fill unset options from the key=value config file; flags win."""
-    if not args.config:
-        return args
-    defaults = {}
-    with open(args.config) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            defaults[key.replace("-", "_")] = val
-    seen = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, val in defaults.items():
-        if key in seen or not hasattr(args, key):
+def _config_args(args, argv):
+    """The key=value lines of the config file as option tokens.
+
+    Each key takes the command's own declaration, so its value is checked
+    like the same flag.  Keys given as flags are dropped (flags win), and
+    keys that only other commands declare are skipped, so one file can
+    serve several commands.
+    """
+    try:
+        with open(args.config) as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read config {args.config!r}: {exc.strerror}") from exc
+    own = dict(_COMMANDS[args.command][1] + _FILES)
+    declared = {option for _, flags in _COMMANDS.values() for option, _ in flags + _FILES}
+    seen = {a.split("=")[0] for a in argv if a.startswith("--")}
+    tokens = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        current = getattr(args, key)
-        if key in ("tau", "k"):
-            setattr(args, key, (current or []) + [float(v) for v in val.split(",")])
-        elif isinstance(current, int):
-            setattr(args, key, int(val))
-        elif isinstance(current, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
-    return args
+        if "=" not in line:
+            raise DomainError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        option = "--" + key.replace("_", "-")
+        if option in own and option not in seen:
+            values = val.split(",") if own[option].get("action") == "append" else [val]
+            tokens += [f"{option}={v}" for v in values]
+        elif option not in declared:
+            raise DomainError(f"config key {key!r} is not an option of any command")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -660,13 +667,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
-        if args.grid < 2:
-            raise DomainError("--grid must be at least 2")
-        if args.tol <= 0:
-            raise DomainError("--tol must be positive")
-        if args.workers < 1:
-            raise DomainError("--workers must be at least 1")
+        if args.config:  # argv[0] is the command: the top level has no other option
+            args = parser.parse_args(argv[:1] + _config_args(args, argv) + argv[1:])
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)

@@ -123,6 +123,18 @@ def sin2_horizontal_radius(params: BergerParams, K: float) -> float:
     return 2.0 / (K * (1.0 + math.sqrt(1.0 - 4.0 * params.lam / K)))
 
 
+def _check_h_finite(params: BergerParams, K: float):
+    """Raise AccuracyError (achieved = inf) where the profile reaches the
+    pole: at the threshold K = k0 for tau > 1, taken as sin^2 r >= 1 - 1e-9,
+    the vertical radius diverges logarithmically."""
+    if sin2_horizontal_radius(params, K) >= 1.0 - 1e-9 and params.lam < 0.0:
+        raise AccuracyError(
+            "vertical radius diverges: the profile reaches the pole at the "
+            "existence threshold K = k0 for tau > 1",
+            achieved=math.inf,
+        )
+
+
 def horizontal_radius(params: BergerParams, K: float) -> float:
     """Horizontal radius r in [0, pi/2]: the maximum colatitude of the profile."""
     return math.asin(math.sqrt(min(1.0, sin2_horizontal_radius(params, K))))
@@ -181,14 +193,7 @@ def vertical_radius(params: BergerParams, K: float, *, atol: float = 1e-10) -> f
     tau > 1 the profile reaches the pole and h diverges logarithmically;
     that case raises AccuracyError up front.
     """
-    _check_exists(params, K)
-    u1 = sin2_horizontal_radius(params, K)
-    if u1 >= 1.0 - 1e-9 and params.lam < 0.0:
-        raise AccuracyError(
-            "vertical radius diverges: the profile reaches the pole at the "
-            "existence threshold K = k0 for tau > 1",
-            achieved=math.inf,
-        )
+    _check_h_finite(params, K)
     f, r = _h_integrand(params, K)
     value, _ = tanhsinh(f, 0.0, r, atol=atol)
     return value
@@ -358,14 +363,7 @@ def build_sphere(
     while for tau > 1 the profile reaches the pole, the vertical radius
     diverges and AccuracyError is raised.
     """
-    _check_exists(params, K)
-    u1 = sin2_horizontal_radius(params, K)
-    if u1 >= 1.0 - 1e-9 and params.lam < 0.0:
-        raise AccuracyError(
-            "sphere profile at the tau > 1 threshold reaches the pole with "
-            "divergent fiber winding; the vertical radius is infinite",
-            achieved=math.inf,
-        )
+    _check_h_finite(params, K)
     degenerate = (K - params.k0) <= DEGENERATE_K_TOL * max(1.0, abs(params.k0))
 
     half = _HalfProfile(params, K, n_panels=n_panels)

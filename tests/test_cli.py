@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +26,85 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     cli._write_csv(path, ("a", "i", "b"), rows, "%.17g,%d,%.17g")
     want = "a,i,b\n" + "".join(f"{a:.17g},{i},{b:.17g}\n" for a, i, b in rows)
     assert path.read_text() == want
+
+
+def test_svg_points_match_per_point_formatting(tmp_path):
+    # the array mapping gives the same bytes as mapping and formatting each
+    # point on its own, including -0 and values that round at 2 decimals
+    pts = [(0.0, -1.0), (-0.0, 1.0), (1 / 3, 0.123456), (1.0, -0.0),
+           (5e-324, 0.5), (0.000008333, -0.99999), (0.0125, 0.00625)]
+    for x_range, y_range, equal_aspect in (((0.0, 1.0), (-1.0, 1.0), False),
+                                           ((-1.3, 1.3), (0.0, math.pi / 2), True)):
+        path = tmp_path / "t.svg"
+        cli._svg(path, [(pts, 1.5), (np.array(pts[2:]), 2.5)], x_range, y_range,
+                 equal_aspect=equal_aspect)
+        text = path.read_text()
+        w, h = (int(v) for v in re.search(r'width="(\d+)" height="(\d+)"', text).groups())
+        (x0, x1), (y0, y1) = x_range, y_range
+        want = [
+            " ".join(f"{(a - x0) / (x1 - x0) * w:.2f},{h - (b - y0) / (y1 - y0) * h:.2f}"
+                     for a, b in points)
+            for points in (pts, pts[2:])
+        ]
+        assert re.findall(r'points="([^"]*)"', text) == want
+
+
+#: the flags each subcommand reads besides --out and --config
+COMMAND_FLAGS = {
+    "thresholds": {"--tau", "--tau-range"},
+    "phase": {"--tau", "--tau-range", "--k", "--k-range", "--grid", "--levels",
+              "--format", "--workers"},
+    "sphere": {"--tau", "--tau-range", "--k", "--k-range", "--samples",
+               "--mesh-rings", "--format"},
+    "embed-region": {"--tau", "--tau-range", "--k", "--k-range", "--tol", "--workers"},
+    "verify": {"--tol"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert declared == {
+            name: flags | {"--out", "--config"} for name, flags in COMMAND_FLAGS.items()
+        }
+        assert sum(len(flags) for flags in declared.values()) == 34
+
+    def test_tol_default_per_command(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(["verify"]).tol == 1e-10
+        assert parser.parse_args(["embed-region"]).tol == 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--tau", "0.5", "--k", "4", "--tol", "1e-3"],
+        ["verify", "--tau", "2"],
+        ["thresholds", "--tau", "1", "--k", "3"],
+        ["embed-region", "--tau", "0.3", "--k", "5", "--format", "csv"],
+        ["embed-region", "--tau", "0.3", "--k", "5", "--grid", "1"],
+    ])
+    def test_unread_flag_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--tau", "0.75", "--k", "3", "--levels", "x"],
+        ["phase", "--tau", "0.75", "--k", "3", "--format", "csv,obj"],
+        ["sphere", "--tau", "0.5", "--k", "4", "--format", "pdf"],
+        ["embed-region", "--tau", "0.3", "--k", "5", "--tol", "0"],
+        ["embed-region", "--tau", "0.3", "--k", "5", "--workers", "0"],
+        ["phase", "--tau", "0.75", "--k", "3", "--grid", "abc"],
+    ])
+    def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestThresholds:
@@ -275,3 +356,43 @@ class TestConfigFile:
         cfg.write_text("tau 0.75\n")
         rc = cli.main(["sphere", "--config", str(cfg)])
         assert rc == cli.EXIT_CONFIG
+
+    def test_config_value_checked_like_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for line in ("grid=abc", "grid=1", "levels=x", "format=pdf"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"tau=0.75\nk=3\n{line}\n")
+            rc = cli.main(["phase", "--config", str(cfg), "--out", str(out)])
+            assert rc == cli.EXIT_CONFIG, line
+            assert not out.exists()
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = cli.main(["thresholds", "--tau", "1", "--config", str(tmp_path / "none.cfg")])
+        assert rc == cli.EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("tau=0.75\nk=3\nsmaples=70\n")
+        assert cli.main(["sphere", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "'smaples'" in capsys.readouterr().err
+
+    def test_one_config_serves_phase_and_sphere(self, tmp_path, capsys):
+        # samples is a sphere key and grid a phase key: each command skips
+        # the other's
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("tau=0.75\nk=3\nsamples=129\ngrid=41\n")
+        assert cli.main(["phase", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "phase_grid_tau0p75_K3.csv")
+        assert len(rows) == 41 * 41
+        assert cli.main(["sphere", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "profile_tau0p75_K3.csv")
+        assert len(rows) == 129
+
+    def test_flag_wins_over_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau=0.75\nk=3\ngrid=41\n")
+        assert cli.main(["phase", "--config", str(cfg), "--grid", "21", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "phase_grid_tau0p75_K3.csv")
+        assert len(rows) == 21 * 21

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from berger_cgc import (
     CriticalPointError,
@@ -284,6 +285,26 @@ class TestTracing:
 
             connected = any(near(c, 0, 1) and near(c, 0, -1) for c in contours)
             assert connected == want == level_one_connects(p, K)
+
+    def test_sublevel_label_oracle(self):
+        # independent connectivity oracle that needs only scipy: level 1
+        # connects (0, 1) to (0, -1) exactly when the component of {F < 1}
+        # holding (0, 0) touches neither X = 1 nor Y = +-1
+        n = 1001
+        X, Y = np.meshgrid(np.linspace(0, 1, n), np.linspace(-1, 1, n))
+        cells = [(2.0, 0.3), (2.0, 0.2), (0.75, 3.0)]  # the marching-squares cells
+        for tau in (0.6, 1.0, 1.7):  # both sides of k0 for tau < 1, = 1, > 1
+            k0 = make_params(tau).k0
+            cells += [(tau, 0.95 * k0), (tau, 1.05 * k0)]
+        for tau, K in cells:
+            p = make_params(tau)
+            labels, _ = ndimage.label(energy_values(p, K, X, Y) < 1.0)
+            origin = labels[n // 2, 0]
+            assert origin, "(0, 0) lies in {F < 1}"
+            edges = np.concatenate([labels[0, :], labels[-1, :], labels[:, -1]])
+            connected = origin not in edges
+            want = K > p.k0
+            assert connected == want == level_one_connects(p, K) == sphere_exists(p, K), (tau, K)
 
 
 class TestConnectivityAgreesWithClosedForm:
