@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -63,8 +62,14 @@ def _values(args, name):
     return vals
 
 
+def _num(v: float) -> str:
+    """``v`` spelled with :g where that round-trips, else in full (repr)."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def _slug(v: float) -> str:
-    return f"{v:g}".replace(".", "p").replace("-", "m")
+    return _num(v).replace(".", "p").replace("-", "m")
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +112,16 @@ def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
 
 
 def cmd_thresholds(args) -> int:
-    taus = _values(args, "tau")
+    params = [make_params(tau) for tau in _values(args, "tau")]  # all checked first
     rows = []
     print(f"{'tau':>12} {'lambda':>12} {'K0':>12} {'KP':>12}  new-examples K")
-    for tau in taus:
-        p = make_params(tau)
-        if tau > 1:
+    for p in params:
+        if p.tau > 1:
             gap = f"[{p.k0:.17g}, {p.kp:.17g}]"
         else:
             gap = f"{{{p.k0:.17g}}}"
-        print(f"{tau:>12g} {p.lam:>12g} {p.k0:>12g} {p.kp:>12g}  {gap}")
-        rows.append((tau, p.lam, p.k0, p.kp, p.k0, p.kp))
+        print(f"{p.tau:>12g} {p.lam:>12g} {p.k0:>12g} {p.kp:>12g}  {gap}")
+        rows.append((p.tau, p.lam, p.k0, p.kp, p.k0, p.kp))
     if args.out:
         _write_csv(
             os.path.join(args.out, "thresholds.csv"),
@@ -207,9 +211,8 @@ def _contour_polylines(params, K, levels):
     return out
 
 
-def _phase_cell(task):
+def _phase_cell(tau, K, n, levels):
     """One (tau, K) portrait: energy grid plus traced contour polylines."""
-    tau, K, n, levels = task
     p = make_params(tau)
     near = abs(K - p.k0) <= 1e-9 * max(1.0, abs(p.k0))
     verdict = "boundary" if near else ("yes" if phase.sphere_exists(p, K) else "no")
@@ -225,15 +228,11 @@ def _phase_cell(task):
 def cmd_phase(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    tasks = [(tau, K, args.grid, args.levels) for tau in taus for K in ks]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            cells = list(pool.map(_phase_cell, tasks))
-    else:
-        cells = [_phase_cell(t) for t in tasks]
-    for (tau, K, _, _), (verdict, k0, X, Y, F, polylines) in zip(tasks, cells):
+    # every cell before any output: a bad tau or K exits 2 having written nothing
+    cells = [(tau, K, *_phase_cell(tau, K, args.grid, args.levels)) for tau in taus for K in ks]
+    for tau, K, verdict, k0, X, Y, F, polylines in cells:
         print(
-            f"tau={tau:g} K={K:g}: K0={k0:g}, level-1 connects "
+            f"tau={_num(tau)} K={_num(K)}: K0={k0:g}, level-1 connects "
             f"(closed form): {verdict}"
         )
         if not args.out:
@@ -295,19 +294,19 @@ def cmd_sphere(args) -> int:
                 if exc.achieved == math.inf:
                     # threshold case for tau > 1: pole-touching profile
                     print(
-                        f"tau={tau:g} K={K:g}: pole-touching sphere at the "
+                        f"tau={_num(tau)} K={_num(K)}: pole-touching sphere at the "
                         f"threshold (r = pi/2), vertical radius diverges"
                     )
                     report_rows.append(
                         (tau, K, math.pi / 2.0, math.inf, _bool(False), math.nan)
                     )
                     continue
-                print(f"tau={tau:g} K={K:g}: accuracy failure: {exc}", file=sys.stderr)
+                print(f"tau={_num(tau)} K={_num(K)}: accuracy failure: {exc}", file=sys.stderr)
                 return EXIT_ACCURACY
             _check_profile_energy(sol)
             flag = " (threshold case)" if sol.degenerate_threshold else ""
             print(
-                f"tau={tau:g} K={K:g}: r={sol.r:.12g} h={sol.h:.12g} "
+                f"tau={_num(tau)} K={_num(K)}: r={sol.r:.12g} h={sol.h:.12g} "
                 f"T={sol.T:.12g} embedded={sol.embedded}{flag}"
             )
             report_rows.append((tau, K, sol.r, sol.h, _bool(sol.embedded), sol.T))
@@ -357,8 +356,8 @@ def cmd_sphere(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _region_cell(task):
-    tau, K = task
+def _region_cell(tau, K):
+    """The region row (tau, K, h, embedded), or None below k0."""
     p = make_params(tau)
     if K < p.k0:
         return None
@@ -374,12 +373,7 @@ def _region_cell(task):
 def cmd_embed_region(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    tasks = [(tau, K) for K in ks for tau in taus]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            cells = list(pool.map(_region_cell, tasks, chunksize=4))
-    else:
-        cells = [_region_cell(t) for t in tasks]
+    cells = [_region_cell(tau, K) for K in ks for tau in taus]  # K-major rows
     rows = [c for c in cells if c is not None]
 
     boundary = []
@@ -394,18 +388,18 @@ def cmd_embed_region(args) -> int:
             state = "fully embedded" if all(
                 c[3] for c in slice_cells
             ) else "no crossing found"
-            print(f"K={K:g}: {state} over the tau grid")
+            print(f"K={_num(K)}: {state} over the tau grid")
             continue
         try:
             tau_star = sphere.embeddedness_boundary(K, *bracket, tol=args.tol)
         except (BracketError, AccuracyError) as exc:
-            print(f"K={K:g}: boundary refinement failed: {exc}", file=sys.stderr)
+            print(f"K={_num(K)}: boundary refinement failed: {exc}", file=sys.stderr)
             return EXIT_ACCURACY
         h_check = sphere.vertical_radius(make_params(tau_star), K)
         if abs(h_check - math.pi) > 10.0 * args.tol:
-            print(f"K={K:g}: boundary re-evaluation off target", file=sys.stderr)
+            print(f"K={_num(K)}: boundary re-evaluation off target", file=sys.stderr)
             return EXIT_ACCURACY
-        print(f"K={K:g}: boundary tau* = {tau_star:.12g} (h - pi = {h_check - math.pi:.3g})")
+        print(f"K={_num(K)}: boundary tau* = {tau_star:.12g} (h - pi = {h_check - math.pi:.3g})")
         boundary.append((K, tau_star))
 
     if args.out:
@@ -581,8 +575,6 @@ _K = ("--k", dict(type=float, action="append", help="Gauss curvature (repeatable
 _K_RANGE = ("--k-range", dict(type=_parse_range, help="a:b:n evenly spaced K values"))
 _SWEEP = (_TAU, _TAU_RANGE, _K, _K_RANGE)
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
-_WORKERS = ("--workers", dict(type=_checked(int, lambda n: n >= 1, "at least 1"), default=1,
-                              help="worker processes for sweeps"))
 _FILES = (
     ("--out", dict(help="output directory")),
     ("--config", dict(help="key=value config file (flags win)")),
@@ -596,16 +588,16 @@ _COMMANDS = {
                         help="phase grid resolution")),
         ("--levels", dict(type=_float_list, help="comma list of contour levels")),
         _format_flag("csv", "svg"),
-        _WORKERS,
     )),
     "sphere": (cmd_sphere, _SWEEP + (
-        ("--samples", dict(type=int, default=512, help="profile samples")),
-        ("--mesh-rings", dict(type=int, default=128, help="mesh steps around the axis")),
+        ("--samples", dict(type=_checked(int, lambda n: n >= 65, "at least 65"), default=512,
+                           help="profile samples")),
+        ("--mesh-rings", dict(type=_checked(int, lambda n: n >= 3, "at least 3"), default=128,
+                              help="mesh steps around the axis")),
         _format_flag("csv", "svg", "obj"),
     )),
     "embed-region": (cmd_embed_region, _SWEEP + (
         ("--tol", dict(type=_POSITIVE, default=1e-8, help="tolerance of the root h = pi")),
-        _WORKERS,
     )),
     "verify": (cmd_verify, (
         ("--tol", dict(type=_POSITIVE, default=1e-10, help="rtol of the energy suite")),
@@ -670,7 +662,10 @@ def main(argv=None) -> int:
         if args.config:  # argv[0] is the command: the top level has no other option
             args = parser.parse_args(argv[:1] + _config_args(args, argv) + argv[1:])
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:  # e.g. --out names an existing file
+                raise DomainError(f"cannot create --out {args.out!r}: {exc.strerror}") from exc
         return args.func(args)
     except NoSphereError as exc:  # a DomainError subclass: caught first
         print(str(exc), file=sys.stderr)

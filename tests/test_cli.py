@@ -53,10 +53,10 @@ def test_svg_points_match_per_point_formatting(tmp_path):
 COMMAND_FLAGS = {
     "thresholds": {"--tau", "--tau-range"},
     "phase": {"--tau", "--tau-range", "--k", "--k-range", "--grid", "--levels",
-              "--format", "--workers"},
+              "--format"},
     "sphere": {"--tau", "--tau-range", "--k", "--k-range", "--samples",
                "--mesh-rings", "--format"},
-    "embed-region": {"--tau", "--tau-range", "--k", "--k-range", "--tol", "--workers"},
+    "embed-region": {"--tau", "--tau-range", "--k", "--k-range", "--tol"},
     "verify": {"--tol"},
 }
 
@@ -72,7 +72,7 @@ class TestFlags:
         assert declared == {
             name: flags | {"--out", "--config"} for name, flags in COMMAND_FLAGS.items()
         }
-        assert sum(len(flags) for flags in declared.values()) == 34
+        assert sum(len(flags) for flags in declared.values()) == 32
 
     def test_tol_default_per_command(self):
         parser = cli._build_parser()
@@ -85,6 +85,8 @@ class TestFlags:
         ["thresholds", "--tau", "1", "--k", "3"],
         ["embed-region", "--tau", "0.3", "--k", "5", "--format", "csv"],
         ["embed-region", "--tau", "0.3", "--k", "5", "--grid", "1"],
+        ["phase", "--tau", "0.75", "--k", "3", "--workers", "2"],
+        ["embed-region", "--tau", "0.3", "--k", "5", "--workers", "2"],
     ])
     def test_unread_flag_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -97,14 +99,22 @@ class TestFlags:
         ["phase", "--tau", "0.75", "--k", "3", "--format", "csv,obj"],
         ["sphere", "--tau", "0.5", "--k", "4", "--format", "pdf"],
         ["embed-region", "--tau", "0.3", "--k", "5", "--tol", "0"],
-        ["embed-region", "--tau", "0.3", "--k", "5", "--workers", "0"],
+        ["sphere", "--tau", "0.5", "--k", "4", "--samples", "10"],
         ["phase", "--tau", "0.75", "--k", "3", "--grid", "abc"],
+        ["sphere", "--tau", "0.5", "--k", "4", "--mesh-rings", "2", "--format", "csv,obj"],
     ])
     def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.touch()
+        assert cli.main(["thresholds", "--tau", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert out.read_bytes() == b""
 
 
 class TestThresholds:
@@ -129,6 +139,10 @@ class TestThresholds:
 
     def test_missing_tau(self, capsys):
         assert cli.main(["thresholds"]) == cli.EXIT_CONFIG
+
+    def test_every_tau_checked_before_printing(self, capsys):
+        assert cli.main(["thresholds", "--tau", "0.5", "--tau", "nan"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
 
 class TestPhaseCommand:
@@ -229,6 +243,19 @@ class TestSphereCommand:
         assert float(rows[0][3]) == math.inf
         assert rows[0][4] == "false"
 
+    def test_close_k_values_get_distinct_files(self, tmp_path, capsys):
+        # both K print as 0.25 under :g; tags and report lines keep them apart
+        rc = cli.main([
+            "sphere", "--tau", "2", "--k", "0.2500001", "--k", "0.2500002",
+            "--out", str(tmp_path), "--format", "csv",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.glob("profile_*.csv")) == [
+            "profile_tau2_K0p2500001.csv", "profile_tau2_K0p2500002.csv",
+        ]
+        out = capsys.readouterr().out
+        assert "tau=2 K=0.2500001:" in out and "tau=2 K=0.2500002:" in out
+
     def test_obj_output(self, tmp_path):
         cli.main([
             "sphere", "--tau", "1", "--k", "2", "--out", str(tmp_path),
@@ -287,14 +314,6 @@ class TestEmbedRegionCommand:
         ])
         assert rc == cli.EXIT_ACCURACY
         assert not (tmp_path / "region.csv").exists()
-
-    def test_workers_match_serial(self, tmp_path):
-        a = tmp_path / "serial"
-        b = tmp_path / "pool"
-        base = ["embed-region", "--k", "5", "--tau-range", "0.05:0.5:6"]
-        cli.main(base + ["--out", str(a)])
-        cli.main(base + ["--out", str(b), "--workers", "2"])
-        assert (a / "region.csv").read_bytes() == (b / "region.csv").read_bytes()
 
 
 class TestVerifyCommand:
@@ -374,9 +393,11 @@ class TestConfigFile:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text("tau=0.75\nk=3\nsmaples=70\n")
-        assert cli.main(["sphere", "--config", str(cfg)]) == cli.EXIT_CONFIG
-        assert "'smaples'" in capsys.readouterr().err
+        # a typo, and a key no command declares any more
+        for command, key in (("sphere", "smaples=70"), ("embed-region", "workers=2")):
+            cfg.write_text(f"tau=0.75\nk=3\n{key}\n")
+            assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+            assert f"{key.split('=')[0]!r}" in capsys.readouterr().err
 
     def test_one_config_serves_phase_and_sphere(self, tmp_path, capsys):
         # samples is a sphere key and grid a phase key: each command skips
