@@ -393,7 +393,7 @@ class TestConfigFile:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
-        # a typo, and a key no command declares any more
+        # a typo, and a key no command declares
         for command, key in (("sphere", "smaples=70"), ("embed-region", "workers=2")):
             cfg.write_text(f"tau=0.75\nk=3\n{key}\n")
             assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG

@@ -35,8 +35,9 @@ CONFIGS = {
     # K = k0 for tau = 2: pole-touching profile, divergent vertical radius
     "sphere-2-0.25": ["sphere", "--tau", "2", "--k", "0.25", "--format", "csv,svg,obj"] + RINGS,
     "embed-region": ["embed-region", "--k", "5", "--tau-range", "0.05:0.5:10"],
-    # multi-cell sweeps: a K < k0 cell, skipped region cells (K < k0 at the
-    # larger tau), a slice with no crossing and a refined boundary root
+    # multi-cell sweeps: a K < k0 cell, skipped region cells (K = 3.5 is
+    # below k0 at the smaller tau), a fully embedded slice with no crossing
+    # and a refined boundary root
     "phase-multi": ["phase", "--tau", "0.75", "--tau", "2", "--k", "0.5", "--k", "3",
                     "--grid", "41", "--format", "csv,svg"],
     "embed-region-multi": ["embed-region", "--k", "3.5", "--k", "5",
