@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, phase, profile, sphere
+from . import __version__, phase, sphere, verify
 from .errors import (
     AccuracyError,
     BracketError,
@@ -120,7 +120,7 @@ def cmd_thresholds(args) -> int:
             gap = f"[{p.k0:.17g}, {p.kp:.17g}]"
         else:
             gap = f"{{{p.k0:.17g}}}"
-        print(f"{p.tau:>12g} {p.lam:>12g} {p.k0:>12g} {p.kp:>12g}  {gap}")
+        print(f"{_num(p.tau):>12} {_num(p.lam):>12} {_num(p.k0):>12} {_num(p.kp):>12}  {gap}")
         rows.append((p.tau, p.lam, p.k0, p.kp, p.k0, p.kp))
     if args.out:
         _write_csv(
@@ -422,101 +422,23 @@ def cmd_embed_region(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
-VERIFY_PAIRS = ((0.75, 3.0), (0.5, 4.0), (2.0, 0.5), (1.0, 2.0))
-
-
-def _suite_boundary_identities(rng, tol=1e-12):
-    worst = 0.0
-    for tau, K in ((0.75, 3.0), (0.5, 3.5), (2.0, 0.5), (1.3, 2.0)):
-        p = make_params(tau)
-        Y = rng.uniform(-1, 1, 2500)
-        X = rng.uniform(0, 1, 2500)
-        worst = max(
-            worst,
-            float(np.max(np.abs(phase.energy_values(p, K, 0.0, np.array([1.0, -1.0])) - 1.0))),
-            float(np.max(np.abs(phase.energy_values(p, K, 1.0, Y) - K * (1 - p.lam)))),
-            float(np.max(np.abs(
-                phase.energy_values(p, K, X, 0.0) - K * (1 - p.lam * X) * X
-            ))),
-        )
-        if p.lam > 0.5:
-            seg = 1.0 / (2.0 * p.lam)
-            worst = max(worst, float(np.max(np.abs(
-                phase.energy_values(p, K, seg, Y) - K / (4.0 * p.lam)
-            ))))
-    return bool(worst <= tol), {"worst": float(worst), "tol": tol}
-
-
-def _suite_energy(rtol):
-    budget = 100.0 * rtol
-    worst = 0.0
-    for tau, K in VERIFY_PAIRS:
-        p = make_params(tau)
-        if K - (3.0 * p.lam + 1.0) <= 0.0:
-            continue
-        traj = profile.integrate(
-            p, K, profile.axis_seed(p, K), s_max=10.0, rtol=rtol, atol=rtol * 1e-2
-        )
-        worst = max(worst, traj.max_energy_drift)
-    return bool(worst <= budget), {"worst_drift": float(worst), "budget": budget}
-
-
-def _suite_frobenius(tol=1e-5):
-    worst = 0.0
-    for tau, K in VERIFY_PAIRS:
-        sol = sphere.build_sphere(make_params(tau), K, spacing=1e-3)
-        worst = max(worst, profile.frobenius_residual(sol.profile))
-    return bool(worst <= tol), {"worst": float(worst), "tol": tol}
-
-
-def _suite_symmetry(tol=1e-8):
-    p = make_params(0.75)
-    traj = profile.integrate(p, 3.0, profile.axis_seed(p, 3.0), s_max=0.8)
-    base = profile.rhs_residual(traj)
-    worst = 0.0
-    for sym, kw in (
-        ("y_translate", {"y0": 1.5}),
-        ("alpha_shift", {"k": 2}),
-        ("reverse", {"s0": 0.4}),
-        ("reflect", {"y0": 0.25}),
-    ):
-        res = profile.rhs_residual(profile.apply_symmetry(traj, sym, **kw))
-        worst = max(worst, abs(res - base))
-    return bool(worst <= tol), {"worst_residual_change": float(worst), "tol": tol}
-
-
-def _suite_routes(tol=1e-7):
-    worst = 0.0
-    for tau, K in VERIFY_PAIRS:
-        p = make_params(tau)
-        sol = sphere.build_sphere(p, K)
-        _, _, y, _ = sol.profile.arrays()
-        span = 0.5 * (y[-1] - y[0])
-        worst = max(worst, abs(span - sphere.vertical_radius(p, K)))
-    return bool(worst <= tol), {"worst": float(worst), "tol": tol}
-
-
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(20240817)
-    suites = (
-        ("boundary_identities", lambda: _suite_boundary_identities(rng)),
-        ("energy_conservation", lambda: _suite_energy(args.tol)),
-        ("frobenius", _suite_frobenius),
-        ("symmetry", _suite_symmetry),
-        ("route_equivalence", _suite_routes),
-    )
-    summary = {}
-    ok = True
-    for name, fn in suites:
-        passed, detail = fn()
-        ok = ok and passed
-        summary[name] = {"pass": passed, **detail}
-        print(f"{name:>22}: {'PASS' if passed else 'FAIL'}  {detail}")
-    print(json.dumps({"pass": ok, "suites": summary}))
+    suites = {
+        "boundary_identities": verify.boundary_identities(),
+        "energy_conservation": verify.energy_conservation(args.tol),
+        "frobenius": verify.frobenius(),
+        "symmetry": verify.symmetry(),
+        "route_equivalence": verify.route_equivalence(),
+    }
+    for name, record in suites.items():
+        detail = {k: v for k, v in record.items() if k != "pass"}
+        print(f"{name:>22}: {'PASS' if record['pass'] else 'FAIL'}  {detail}")
+    summary = {"pass": all(r["pass"] for r in suites.values()), "suites": suites}
+    print(json.dumps(summary))
     if args.out:
         with open(os.path.join(args.out, "verify.json"), "w") as f:
-            json.dump({"pass": ok, "suites": summary}, f, indent=2)
-    return EXIT_OK if ok else EXIT_ACCURACY
+            json.dump(summary, f, indent=2)
+    return EXIT_OK if summary["pass"] else EXIT_ACCURACY
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +496,6 @@ _TAU_RANGE = ("--tau-range", dict(type=_parse_range, help="a:b:n evenly spaced t
 _K = ("--k", dict(type=float, action="append", help="Gauss curvature (repeatable)"))
 _K_RANGE = ("--k-range", dict(type=_parse_range, help="a:b:n evenly spaced K values"))
 _SWEEP = (_TAU, _TAU_RANGE, _K, _K_RANGE)
-_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _FILES = (
     ("--out", dict(help="output directory")),
     ("--config", dict(help="key=value config file (flags win)")),
@@ -597,10 +518,12 @@ _COMMANDS = {
         _format_flag("csv", "svg", "obj"),
     )),
     "embed-region": (cmd_embed_region, _SWEEP + (
-        ("--tol", dict(type=_POSITIVE, default=1e-8, help="tolerance of the root h = pi")),
+        ("--tol", dict(type=_checked(float, lambda v: v > 0.0, "positive"), default=1e-8,
+                       help="tolerance of the root h = pi")),
     )),
     "verify": (cmd_verify, (
-        ("--tol", dict(type=_POSITIVE, default=1e-10, help="rtol of the energy suite")),
+        ("--tol", dict(type=_checked(float, lambda v: 1e-13 <= v <= 0.1, "in [1e-13, 0.1]"),
+                       default=1e-10, help="rtol of the energy suite")),
     )),
 }
 
@@ -657,25 +580,30 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    created = None  # the --out directory this run made
     try:
         args = parser.parse_args(argv)
         if args.config:  # argv[0] is the command: the top level has no other option
             args = parser.parse_args(argv[:1] + _config_args(args, argv) + argv[1:])
-        if args.out:
+        if args.out and not os.path.isdir(args.out):
             try:
-                os.makedirs(args.out, exist_ok=True)
+                os.makedirs(args.out)
             except OSError as exc:  # e.g. --out names an existing file
                 raise DomainError(f"cannot create --out {args.out!r}: {exc.strerror}") from exc
-        return args.func(args)
+            created = args.out
+        rc = args.func(args)
     except NoSphereError as exc:  # a DomainError subclass: caught first
         print(str(exc), file=sys.stderr)
-        return EXIT_NO_SPHERE
+        rc = EXIT_NO_SPHERE
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        rc = EXIT_CONFIG
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
+        rc = EXIT_ACCURACY
+    if rc != EXIT_OK and created and not os.listdir(created):
+        os.rmdir(created)  # a failed run leaves no empty --out behind
+    return rc
 
 
 if __name__ == "__main__":

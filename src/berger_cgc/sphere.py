@@ -324,8 +324,10 @@ class _HalfProfile(_Factors):
             theta = np.clip(theta, 0.0, hi)
             resid = self._s_of_theta.value(theta) - s
             theta = theta - resid / self._ds_dtheta(theta)
-        theta = np.clip(theta, 0.0, hi)
-        return theta
+        worst = float(np.max(np.abs(resid)))
+        if worst > 1e-12 * max(1.0, self.half_length):
+            raise AccuracyError(f"arc-length inversion residual {worst!r}", achieved=worst)
+        return np.clip(theta, 0.0, hi)
 
     def cos_alpha(self, theta):
         """cos(alpha) along the half profile (the unit-energy level relation)."""

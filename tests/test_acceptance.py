@@ -6,6 +6,9 @@ Expected values are either exact-arithmetic constants or were computed with
 independent oracles (rational arithmetic, 40-digit quadrature, classical
 round-sphere geometry); nothing is copied from the implementation under
 test.
+
+Tests 02, 05, 06 and 09 hold the worst values of the ``berger_cgc.verify``
+suites, which ``berger-cgc verify`` runs too, to the bounds stated here.
 """
 
 import math
@@ -27,10 +30,10 @@ from berger_cgc import (
     make_params,
     sin2_horizontal_radius,
     sphere_exists,
+    verify,
     vertical_radius,
 )
 from berger_cgc.geometry import metric, tangent_projection
-from berger_cgc.phase import energy_values
 from berger_cgc.profile import (
     ProfileState,
     alpha_bracket,
@@ -40,8 +43,6 @@ from berger_cgc.profile import (
     geodesic_sphere_solution,
     rhs_residual,
 )
-
-PROFILE_PAIRS = ((0.75, 3.0), (0.5, 4.0), (2.0, 0.5), (1.0, 2.0))
 
 
 def report(num, name, ok, detail=""):
@@ -91,25 +92,7 @@ def test_01_threshold_exactness():
 
 def test_02_boundary_identities():
     budget = Budget(1.0)
-    worst = 0.0
-    n = 10000
-    for tau, K in ((0.75, 3.0), (0.5, 3.5), (2.0, 0.5), (1.0, 2.0)):
-        p = make_params(tau)
-        Y = np.linspace(-1.0, 1.0, n)
-        X = np.linspace(0.0, 1.0, n)
-        corner = energy_values(p, K, 0.0, np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
-        worst = max(worst, float(np.max(np.abs(corner - 1.0))))
-        worst = max(worst, float(np.max(np.abs(energy_values(p, K, 1.0, Y) - K * (1 - p.lam)))))
-        worst = max(
-            worst,
-            float(np.max(np.abs(energy_values(p, K, X, 0.0) - K * (1 - p.lam * X) * X))),
-        )
-        if p.lam > 0.5:
-            seg = 1.0 / (2.0 * p.lam)
-            worst = max(
-                worst,
-                float(np.max(np.abs(energy_values(p, K, seg, Y) - K / (4 * p.lam)))),
-            )
+    worst = verify.boundary_identities()["worst"]
     budget.check()
     report(2, "boundary identities (1e-12)", worst <= 1e-12, f"worst={worst:.2e}")
 
@@ -141,7 +124,7 @@ def test_03_existence_classification():
 def test_04_energy_conservation():
     budget = Budget(10.0)
     worst = 0.0
-    for tau, K in PROFILE_PAIRS:
+    for tau, K in verify.PROFILE_CELLS:
         sol = build_sphere(make_params(tau), K)
         drift = max(abs(e - 1.0) for e in
                     (sol.profile.energy0 + d for d in sol.profile.energy_drifts))
@@ -152,14 +135,8 @@ def test_04_energy_conservation():
 
 def test_05_frobenius():
     budget = Budget(10.0)
-    worst_coarse = 0.0
-    worst_fine = 0.0
-    for tau, K in PROFILE_PAIRS:
-        p = make_params(tau)
-        r1 = frobenius_residual(build_sphere(p, K, spacing=1e-3).profile)
-        r2 = frobenius_residual(build_sphere(p, K, spacing=5e-4).profile)
-        worst_coarse = max(worst_coarse, r1)
-        worst_fine = max(worst_fine, r2)
+    worst_coarse = verify.frobenius(1e-3)["worst"]
+    worst_fine = verify.frobenius(5e-4)["worst"]
     # the aggregate residual is truncation-dominated and second order;
     # individual profiles with residuals ~1e-8 sit at the eps/h^2
     # rounding floor of double precision, where no scheme can keep halving
@@ -176,13 +153,7 @@ def test_05_frobenius():
 
 def test_06_route_equivalence():
     budget = Budget(10.0)
-    worst = 0.0
-    for tau, K in PROFILE_PAIRS:
-        p = make_params(tau)
-        sol = build_sphere(p, K)
-        _, _, y, _ = sol.profile.arrays()
-        span = 0.5 * (y[-1] - y[0])
-        worst = max(worst, abs(span - vertical_radius(p, K)))
+    worst = verify.route_equivalence()["worst"]
     budget.check()
     report(6, "route equivalence (1e-7)", worst <= 1e-7, f"worst={worst:.2e}")
 
@@ -217,36 +188,14 @@ def test_08_radius_closed_form():
     report(8, "radius closed form", ok, f"continuity gap={gap:.2e}")
 
 
-def test_09_symmetry_suite():
+def test_09_symmetry_suite(pole_traj):
     budget = Budget(20.0)
-    p = make_params(0.75)
-    traj = integrate(p, 3.0, axis_seed(p, 3.0), s_max=0.8, n_samples=201)
-    base = rhs_residual(traj)
-    worst = 0.0
-    for sym, kw in (
-        ("y_translate", {"y0": 1.5}),
-        ("alpha_shift", {"k": 1}),
-        ("reverse", {"s0": 0.4}),
-        ("reflect", {"y0": 0.25}),
-    ):
-        worst = max(worst, abs(rhs_residual(apply_symmetry(traj, sym, **kw)) - base))
-    # pole continuation on a pole-reaching run (tau = 2 on energy level 2)
-    p2 = make_params(2.0)
-    u = math.sin(1.2) ** 2
-    c2 = (
-        (2.0 - 0.5 * (1 - p2.lam * u) * u)
-        * (1 - p2.lam * u)
-        / ((1 - 2 * p2.lam * u) ** 2 * math.cos(1.2) ** 2)
-    )
-    pole_traj = integrate(
-        p2, 0.5, ProfileState(0.0, 1.2, 0.0, math.acos(math.sqrt(c2))), s_max=5.0
-    )
-    assert pole_traj.termination == "boundary_pole"
-    worst = max(
-        worst,
-        abs(rhs_residual(apply_symmetry(pole_traj, "pole_continue")) - rhs_residual(pole_traj)),
-    )
+    worst = verify.symmetry()["worst_residual_change"]
+    assert pole_traj.termination == "boundary_pole"  # then the pole continuation
+    cont = apply_symmetry(pole_traj, "pole_continue")
+    worst = max(worst, abs(rhs_residual(cont) - rhs_residual(pole_traj)))
     # turning-point reflection (the sixth symmetry)
+    p = make_params(0.75)
     long = integrate(p, 3.0, axis_seed(p, 3.0), s_max=1.7, n_samples=2001)
     s, x, y, a = long.arrays()
     spl_x, spl_y, spl_a = CubicSpline(s, x), CubicSpline(s, y), CubicSpline(s, a)

@@ -1,13 +1,15 @@
 import argparse
+import ast
 import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from berger_cgc import cli
+from berger_cgc import cli, profile, sphere
 
 
 def read_csv(path):
@@ -102,12 +104,21 @@ class TestFlags:
         ["sphere", "--tau", "0.5", "--k", "4", "--samples", "10"],
         ["phase", "--tau", "0.75", "--k", "3", "--grid", "abc"],
         ["sphere", "--tau", "0.5", "--k", "4", "--mesh-rings", "2", "--format", "csv,obj"],
+        # found after --out was made: the empty directory is removed again
+        ["phase", "--tau", "0.75", "--k", "nan", "--grid", "21"],
+        # outside [1e-13, 0.1]: a traceback, a hang, an internal error, a raised rtol
+        *(["verify", "--tol", tol] for tol in ("1e-300", "5e-324", "1", "1e-14")),
     ])
     def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        argv = ["phase", "--tau", "0.75", "--k", "nan", "--grid", "21", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert tmp_path.is_dir()
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "afile"
@@ -143,6 +154,12 @@ class TestThresholds:
     def test_every_tau_checked_before_printing(self, capsys):
         assert cli.main(["thresholds", "--tau", "0.5", "--tau", "nan"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    def test_close_taus_print_distinct_rows(self, capsys):
+        # both tau print as 0.25 under :g
+        assert cli.main(["thresholds", "--tau", "0.2500001", "--tau", "0.2500002"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["0.2500001", "0.2500002"]
 
 
 class TestPhaseCommand:
@@ -316,9 +333,14 @@ class TestEmbedRegionCommand:
         assert not (tmp_path / "region.csv").exists()
 
 
+def _failed_suites(out):
+    suites = json.loads(out.strip().splitlines()[-1])["suites"]
+    return [name for name, record in suites.items() if not record["pass"]]
+
+
 class TestVerifyCommand:
-    def test_default_passes(self, capsys):
-        rc = cli.main(["verify"])
+    def test_default_passes(self, tmp_path, capsys):
+        rc = cli.main(["verify", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         summary = json.loads(out.strip().splitlines()[-1])
@@ -330,6 +352,12 @@ class TestVerifyCommand:
             "symmetry",
             "route_equivalence",
         }
+        assert json.loads((tmp_path / "verify.json").read_text()) == summary
+        # each record holds exactly the fields the benchmark reads (bench/checks.py)
+        text = (Path(__file__).parents[1] / "bench" / "checks.py").read_text()
+        fields = ast.literal_eval(re.search(r"^SUITE_FIELDS = (\{.*?^\})", text, re.S | re.M)[1])
+        assert {name: set(record) for name, record in summary["suites"].items()} == {
+            name: {"pass", value, bound} for name, (value, bound) in fields.items()}
 
     def test_explicit_tol_is_used(self, capsys):
         # --tol 1e-8 is the common default of the other commands; given
@@ -344,6 +372,10 @@ class TestVerifyCommand:
         rc = cli.main(["verify", "--tol", "1e-2"])
         assert rc == 0
 
+    @pytest.mark.parametrize("tol", ["1e-13", "0.1"])
+    def test_tol_bounds_pass(self, tol, capsys):
+        assert cli.main(["verify", "--tol", tol]) == 0
+
     def test_corrupted_energy_detected(self, capsys, monkeypatch):
         # sign-flip the energy function: the boundary-identity suite must fail
         orig = cli.phase.energy_values
@@ -356,6 +388,27 @@ class TestVerifyCommand:
         assert rc == cli.EXIT_ACCURACY
         out = capsys.readouterr().out
         assert "boundary_identities: FAIL" in out
+        assert _failed_suites(out) == ["boundary_identities"]
+
+    @pytest.mark.parametrize("suite, module, name, corrupt", [
+        # the integrator ignores the rtol it is given and runs at 1e-6
+        ("energy_conservation", profile, "integrate",
+         lambda f: lambda *a, **kw: f(*a, **{**kw, "rtol": 1e-6})),
+        # the profile is sampled 100x coarser than asked
+        ("frobenius", sphere, "build_sphere", lambda f: lambda *a, spacing=None, **kw: f(
+            *a, spacing=spacing and 100 * spacing, **kw)),
+        # reflect forgets to negate alpha
+        ("symmetry", profile, "apply_symmetry", lambda f: lambda t, sym, **kw: f(t, sym, **kw)
+         if sym != "reflect" else profile._make_trajectory(
+             t.params, t.K, t.s, t.x, 2 * kw["y0"] - t.y, t.alpha, t.termination)),
+        # the quadrature h is 1e-6 off
+        ("route_equivalence", sphere, "vertical_radius", lambda f: lambda *a: f(*a) + 1e-6),
+    ])
+    def test_corruption_fails_exactly_its_suite(self, suite, module, name, corrupt,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+        assert cli.main(["verify"]) == cli.EXIT_ACCURACY
+        assert _failed_suites(capsys.readouterr().out) == [suite]
 
 
 class TestConfigFile:

@@ -18,6 +18,7 @@ from berger_cgc import (
     make_params,
     sphere_exists,
     trace_level_curve,
+    verify,
 )
 from berger_cgc.phase import TRACE_TOL, energy_values
 
@@ -82,20 +83,7 @@ class TestEnergyValue:
 
 class TestBoundaryIdentities:
     def test_identities_on_grids(self):
-        for tau, K in [(0.75, 3.0), (0.5, 3.5), (2.0, 0.5), (1.0, 2.0), (1.4, 1.0)]:
-            p = make_params(tau)
-            Y = np.linspace(-1, 1, 10000)
-            X = np.linspace(0, 1, 10000)
-            assert np.max(np.abs(energy_values(p, K, 0.0, Y) - Y**2)) <= 1e-12
-            assert np.max(np.abs(energy_values(p, K, 1.0, Y) - K * (1 - p.lam))) <= 1e-12
-            assert np.max(
-                np.abs(energy_values(p, K, X, 0.0) - K * (1 - p.lam * X) * X)
-            ) <= 1e-12
-            if p.lam > 0.5:
-                seg = 1.0 / (2.0 * p.lam)
-                assert np.max(
-                    np.abs(energy_values(p, K, seg, Y) - K / (4 * p.lam))
-                ) <= 1e-12
+        assert verify.boundary_identities()["worst"] <= 1e-12
 
     def test_case_a_edge_inequality(self):
         # K >= k0 with 0 <= lam <= 1/2 forces F(X, +-1) >= 1 on [0, 1]

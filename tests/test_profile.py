@@ -132,21 +132,10 @@ class TestIntegrate:
         F = energy_values(p, 3.0, np.sin(x) ** 2, np.cos(a))
         assert np.max(np.abs(F - 1.0)) <= 1e-8
 
-    def test_pole_event(self):
-        # tau = 2, K = 0.5 on the energy level K (1 - lam) = 2 reaches the pole
-        p = make_params(2.0)
-        K, x0 = 0.5, 1.2
-        u = math.sin(x0) ** 2
-        c2 = (
-            (2.0 - K * (1 - p.lam * u) * u)
-            * (1 - p.lam * u)
-            / ((1 - 2 * p.lam * u) ** 2 * math.cos(x0) ** 2)
-        )
-        st = ProfileState(0.0, x0, 0.0, math.acos(math.sqrt(c2)))
-        traj = integrate(p, K, st, s_max=5.0)
-        assert traj.termination == "boundary_pole"
-        assert math.sin(traj.states[-1].x) >= 1.0 - 1e-8
-        assert traj.max_energy_drift <= 1e-9
+    def test_pole_event(self, pole_traj):
+        assert pole_traj.termination == "boundary_pole"
+        assert math.sin(pole_traj.states[-1].x) >= 1.0 - 1e-8
+        assert pole_traj.max_energy_drift <= 1e-9
 
     def test_energy_budget_scales_with_tolerance(self):
         p = make_params(0.75)
@@ -216,21 +205,10 @@ class TestSymmetries:
         assert np.max(np.abs(ya - yb)) <= 1e-8
         assert np.max(np.abs(aa - ab)) <= 1e-8
 
-    def test_pole_continue(self):
-        p = make_params(2.0)
-        K, x0 = 0.5, 1.2
-        u = math.sin(x0) ** 2
-        c2 = (
-            (2.0 - K * (1 - p.lam * u) * u)
-            * (1 - p.lam * u)
-            / ((1 - 2 * p.lam * u) ** 2 * math.cos(x0) ** 2)
-        )
-        traj = integrate(p, K, ProfileState(0.0, x0, 0.0, math.acos(math.sqrt(c2))), s_max=5.0)
-        cont = apply_symmetry(traj, "pole_continue")
-        _, _, y0_, _ = traj.arrays()
-        _, _, y1_, _ = cont.arrays()
-        assert np.allclose(y1_ - y0_, math.pi)
-        assert abs(rhs_residual(cont) - rhs_residual(traj)) <= 1e-12
+    def test_pole_continue(self, pole_traj):
+        cont = apply_symmetry(pole_traj, "pole_continue")
+        assert np.allclose(cont.y - pole_traj.y, math.pi)
+        assert abs(rhs_residual(cont) - rhs_residual(pole_traj)) <= 1e-12
 
     def test_pole_continue_requires_pole(self, traj):
         with pytest.raises(DomainError):

@@ -19,10 +19,11 @@ from berger_cgc import (
     is_embedded,
     make_params,
     sin2_horizontal_radius,
+    verify,
     vertical_radius,
 )
 from berger_cgc.profile import frobenius_residual
-from berger_cgc.sphere import SurfaceMesh, stereographic, write_obj
+from berger_cgc.sphere import SurfaceMesh, _HalfProfile, stereographic, write_obj
 
 # vertical radii computed independently with 40-digit arithmetic
 H_ORACLE = {
@@ -165,7 +166,7 @@ class TestEmbeddednessBoundary:
 
 
 class TestBuildSphere:
-    @pytest.mark.parametrize("tau,K", [(0.75, 3.0), (0.5, 4.0), (2.0, 0.5), (1.0, 2.0)])
+    @pytest.mark.parametrize("tau,K", verify.PROFILE_CELLS)
     def test_profile_invariants(self, tau, K):
         p = make_params(tau)
         sol = build_sphere(p, K)
@@ -247,6 +248,13 @@ class TestBuildSphere:
         _, _, y, _ = sol.profile.arrays()
         assert sol.h > 10.0
         assert abs(0.5 * (y[-1] - y[0]) - vertical_radius(p, K)) <= 1e-7
+
+    def test_arc_length_inversion_checks_its_residual(self, monkeypatch):
+        half = _HalfProfile(make_params(0.75), 3.0)
+        # the Newton steps come out 1000x too short
+        monkeypatch.setattr(half, "_ds_dtheta", lambda t, f=half._ds_dtheta: 1e3 * f(t))
+        with pytest.raises(AccuracyError, match="inversion residual"):
+            half.theta_of_s(np.linspace(0.0, half.half_length, 65))
 
     def test_frobenius_residual_and_convergence(self):
         p = make_params(0.75)
