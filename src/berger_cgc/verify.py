@@ -58,7 +58,7 @@ def frobenius(spacing=1e-3):
 def symmetry():
     """Change of the ODE residual under the system's symmetry transforms."""
     p = make_params(0.75)
-    traj = profile.integrate(p, 3.0, profile.axis_seed(p, 3.0), s_max=0.8)
+    traj = profile.integrate(p, 3.0, profile.axis_seed(p, 3.0), s_max=0.8, n_samples=201)
     base = profile.rhs_residual(traj)
     worst = 0.0
     for sym, kw in (("y_translate", {"y0": 1.5}), ("alpha_shift", {"k": 1}),
