@@ -33,9 +33,8 @@ from .geometry import (
 )
 from .phase import (
     LevelCurve,
-    PhasePoint,
     energy_gradient,
-    energy_value,
+    energy_values,
     interior_critical_points,
     level_one_connects,
     sphere_exists,

@@ -113,15 +113,15 @@ def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
 
 def cmd_thresholds(args) -> int:
     params = [make_params(tau) for tau in _values(args, "tau")]  # all checked first
-    rows = []
-    print(f"{'tau':>12} {'lambda':>12} {'K0':>12} {'KP':>12}  new-examples K")
-    for p in params:
-        if p.tau > 1:
-            gap = f"[{p.k0:.17g}, {p.kp:.17g}]"
-        else:
-            gap = f"{{{p.k0:.17g}}}"
-        print(f"{_num(p.tau):>12} {_num(p.lam):>12} {_num(p.k0):>12} {_num(p.kp):>12}  {gap}")
-        rows.append((p.tau, p.lam, p.k0, p.kp, p.k0, p.kp))
+    table = [("tau", "lambda", "K0", "KP", "new-examples K")] + [
+        (*map(_num, (p.tau, p.lam, p.k0, p.kp)),
+         f"[{p.k0:.17g}, {p.kp:.17g}]" if p.tau > 1 else f"{{{p.k0:.17g}}}")
+        for p in params
+    ]
+    widths = [max(12, *(len(cells[j]) for cells in table)) for j in range(4)]
+    for cells in table:
+        print(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "  " + cells[4])
+    rows = [(p.tau, p.lam, p.k0, p.kp, p.k0, p.kp) for p in params]
     if args.out:
         _write_csv(
             os.path.join(args.out, "thresholds.csv"),
@@ -150,7 +150,7 @@ def _bisect_on_segment(f, a, b, fa, iters=80):
 
 
 def _seeds_for_level(params, K, level, n_scan=800):
-    """Level crossings along the rectangle edges and the Y = 0 axis."""
+    """Level crossings (X, Y) along the rectangle edges and the Y = 0 axis."""
     seeds = []
     t = np.linspace(0.0, 1.0, n_scan)
 
@@ -162,7 +162,7 @@ def _seeds_for_level(params, K, level, n_scan=800):
                 phase.energy_values(params, K, *make_point(v)) - level
             )
             v = _bisect_on_segment(g, t[i], t[i + 1], float(F[i]))
-            seeds.append(phase.PhasePoint(*make_point(v)))
+            seeds.append(make_point(v))
 
     scan(np.zeros_like(t), 2.0 * t - 1.0, lambda v: (0.0, 2.0 * v - 1.0))
     scan(np.ones_like(t), 2.0 * t - 1.0, lambda v: (1.0, 2.0 * v - 1.0))
@@ -173,6 +173,7 @@ def _seeds_for_level(params, K, level, n_scan=800):
 
 
 def _trace_both_ways(params, K, level, seed):
+    """The level curve through ``seed`` as an (N, 2) array, traced both ways."""
     halves = []
     for direction in (1, -1):
         try:
@@ -180,34 +181,27 @@ def _trace_both_ways(params, K, level, seed):
         except (CriticalPointError, DomainError) as exc:
             c = getattr(exc, "partial", None)
         if c is not None and len(c.points) > 1:
-            halves.append([(p.X, p.Y) for p in c.points])
+            halves.append(c.points)
         if c is not None and c.closed:
             return halves[-1]
     if len(halves) == 2:
-        return halves[1][::-1] + halves[0][1:]
-    if halves:
-        return halves[0]
-    return [(seed.X, seed.Y)]
+        return np.concatenate([halves[1][::-1], halves[0][1:]])
+    return halves[0] if halves else np.empty((0, 2))
 
 
 def _contour_polylines(params, K, levels):
-    """Traced polylines per level, deduplicating seeds already covered."""
+    """Traced (N, 2) polylines per level, deduplicating seeds already covered."""
     out = []
     for level in levels:
-        seeds = _seeds_for_level(params, K, level)
         covered = np.empty((0, 2))
-        for seed in seeds:
-            if covered.size:
-                d = np.min(
-                    np.hypot(covered[:, 0] - seed.X, covered[:, 1] - seed.Y)
-                )
-                if d < 2e-2:
-                    continue
-            pts = _trace_both_ways(params, K, level, seed)
+        for X, Y in _seeds_for_level(params, K, level):
+            if covered.size and np.min(np.hypot(covered[:, 0] - X, covered[:, 1] - Y)) < 2e-2:
+                continue
+            pts = _trace_both_ways(params, K, level, (X, Y))
             if len(pts) < 2:
                 continue
             out.append((level, pts))
-            covered = np.vstack([covered, np.asarray(pts)])
+            covered = np.vstack([covered, pts])
     return out
 
 
@@ -244,10 +238,11 @@ def cmd_phase(args) -> int:
                 ("X", "Y", "F"),
                 zip(X.ravel().tolist(), Y.ravel().tolist(), F.ravel().tolist()),
             )
-            rows = []
-            for level, pts in polylines:
-                for seq, (xv, yv) in enumerate(pts):
-                    rows.append((level, seq, xv, yv))
+            rows = [
+                (level, seq, xv, yv)
+                for level, pts in polylines
+                for seq, (xv, yv) in enumerate(pts.tolist())
+            ]
             _write_csv(
                 os.path.join(args.out, f"contours_{tag}.csv"),
                 ("level", "seq", "X", "Y"),
@@ -580,17 +575,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    created = None  # the --out directory this run made
+    created = []  # the directories this run made for --out, leaf first
     try:
         args = parser.parse_args(argv)
         if args.config:  # argv[0] is the command: the top level has no other option
             args = parser.parse_args(argv[:1] + _config_args(args, argv) + argv[1:])
         if args.out and not os.path.isdir(args.out):
+            missing = []
+            path = os.path.normpath(args.out)
+            while path and not os.path.exists(path):
+                missing.append(path)
+                path = os.path.dirname(path)
             try:
                 os.makedirs(args.out)
             except OSError as exc:  # e.g. --out names an existing file
                 raise DomainError(f"cannot create --out {args.out!r}: {exc.strerror}") from exc
-            created = args.out
+            created = missing
         rc = args.func(args)
     except NoSphereError as exc:  # a DomainError subclass: caught first
         print(str(exc), file=sys.stderr)
@@ -601,8 +601,11 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         rc = EXIT_ACCURACY
-    if rc != EXIT_OK and created and not os.listdir(created):
-        os.rmdir(created)  # a failed run leaves no empty --out behind
+    if rc != EXIT_OK:  # a failed run leaves behind no empty directory it made
+        for path in created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
     return rc
 
 

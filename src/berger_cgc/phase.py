@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .errors import CriticalPointError, DomainError
 from .geometry import BergerParams
 
 __all__ = [
-    "PhasePoint",
     "LevelCurve",
-    "energy_value",
     "energy_values",
     "energy_gradient",
     "interior_critical_points",
@@ -44,48 +43,27 @@ GRAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A point of the phase rectangle [0, 1] x [-1, 1].
+class LevelCurve:
+    """An ordered polyline on one level set of the energy function.
 
-    ``Y = nan`` is the marker for "any Y": it denotes a whole vertical
-    segment {X} x [-1, 1] (used for the degenerate critical set).
+    ``points`` is a read-only (N, 2) float array of (X, Y) in the phase
+    rectangle; a closed curve ends where it starts.
     """
 
-    X: float
-    Y: float
+    level: float
+    closed: bool
+    points: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.X <= 1.0):
-            raise DomainError(f"X = {self.X!r} outside [0, 1]")
-        if not math.isnan(self.Y) and not (-1.0 <= self.Y <= 1.0):
-            raise DomainError(f"Y = {self.Y!r} outside [-1, 1]")
-
-    @property
-    def y_free(self) -> bool:
-        return math.isnan(self.Y)
-
-    @staticmethod
-    def free_y(X: float) -> "PhasePoint":
-        """The vertical segment {X} x [-1, 1], as a point with free Y."""
-        return PhasePoint(X, math.nan)
-
-
-@dataclass(frozen=True)
-class LevelCurve:
-    """An ordered polyline on one level set of the energy function."""
-
-    level: float
-    points: tuple
-    closed: bool
-    endpoints: Optional[tuple]
-
-    @property
-    def start(self) -> PhasePoint:
-        return self.points[0]
-
-    @property
-    def end(self) -> PhasePoint:
-        return self.points[-1]
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise DomainError(f"level-curve points must be (N, 2), got shape {pts.shape}")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        outside = ~((0.0 <= pts[:, 0]) & (pts[:, 0] <= 1.0) & (np.abs(pts[:, 1]) <= 1.0))
+        if np.any(outside):  # also rejects non-finite points
+            bad = tuple(pts[outside][0].tolist())
+            raise DomainError(f"level-curve point {bad!r} outside [0, 1] x [-1, 1]")
 
 
 def _f_and_grad(lam: float, K: float, X: float, Y: float):
@@ -111,27 +89,23 @@ def energy_values(params: BergerParams, K: float, X, Y):
     return q * q / w * (1.0 - X) * Y * Y + K * w * X
 
 
-def energy_value(params: BergerParams, K: float, p: PhasePoint) -> float:
-    """Energy F(X, Y) at a phase point."""
-    return energy_values(params, K, p.X, p.Y)
-
-
-def energy_gradient(params: BergerParams, K: float, p: PhasePoint):
-    """Analytic (dF/dX, dF/dY) at a phase point.
+def energy_gradient(params: BergerParams, K: float, X: float, Y: float):
+    """Analytic (dF/dX, dF/dY) at the phase point (X, Y).
 
     At the corner (0, 1) this is (K - (4 - 3 tau^2), 2), which decides on
     which side of the level-1 plane the energy graph leaves the corner.
     """
-    _, fx, fy = _f_and_grad(params.lam, K, p.X, p.Y)
+    _, fx, fy = _f_and_grad(params.lam, K, X, Y)
     return fx, fy
 
 
 def interior_critical_points(params: BergerParams, K: float):
-    """Critical set of F in the open rectangle.
+    """Critical set of F in the open rectangle, as the X of each critical
+    vertical segment {X} x [-1, 1].
 
     Empty for lam <= 1/2.  For lam > 1/2 the gradient vanishes on the whole
-    vertical segment X = 1/(2 lam) (returned as a single free-Y point):
-    there the squared factor (1 - 2 lam X)^2 and its derivative both vanish.
+    segment X = 1/(2 lam): there the squared factor (1 - 2 lam X)^2 and its
+    derivative both vanish.
     K = 0 is rejected as degenerate, since F then loses its X-growth term
     and the segment Y = 0 becomes critical as well.
     """
@@ -140,7 +114,7 @@ def interior_critical_points(params: BergerParams, K: float):
     lam = params.lam
     if lam <= 0.5:
         return []
-    return [PhasePoint.free_y(1.0 / (2.0 * lam))]
+    return [1.0 / (2.0 * lam)]
 
 
 def sphere_exists(params: BergerParams, K: float) -> bool:
@@ -157,14 +131,6 @@ def sphere_exists(params: BergerParams, K: float) -> bool:
 # ---------------------------------------------------------------------------
 # predictor-corrector level tracing
 # ---------------------------------------------------------------------------
-
-
-def _snap(v: float, lo: float, hi: float) -> float:
-    if abs(v - lo) <= SNAP_TOL:
-        return lo
-    if abs(v - hi) <= SNAP_TOL:
-        return hi
-    return v
 
 
 def _inside(X: float, Y: float) -> bool:
@@ -241,7 +207,7 @@ def trace_level_curve(
     params: BergerParams,
     K: float,
     level: float,
-    start: PhasePoint,
+    start: tuple[float, float],
     direction: int = 1,
     *,
     first_step: float = 1e-3,
@@ -260,6 +226,7 @@ def trace_level_curve(
     refined along the edge.  Termination is by boundary exit, closure of the
     curve, or ``max_steps``.
 
+    ``start`` is an (X, Y) pair in [0, 1] x [-1, 1] on the level set.
     ``direction = +1`` starts along the tangent obtained by rotating the
     gradient clockwise; at the corner (0, 1) with K > k0 this is the inward
     branch with increasing X (the branch a sphere profile follows).
@@ -268,7 +235,9 @@ def trace_level_curve(
     gradient norm falls under 1e-12.
     """
     lam = params.lam
-    X0, Y0 = float(start.X), float(start.Y)
+    X0, Y0 = map(float, start)
+    if not (0.0 <= X0 <= 1.0 and -1.0 <= Y0 <= 1.0):
+        raise DomainError(f"start point {(X0, Y0)!r} outside [0, 1] x [-1, 1]")
     F0, fx, fy = _f_and_grad(lam, K, X0, Y0)
     if abs(F0 - level) > max(trace_tol, 1e-9):
         raise DomainError(
@@ -287,10 +256,11 @@ def trace_level_curve(
     closed = False
 
     def make_curve():
-        pp = tuple(PhasePoint(_snap(x, 0.0, 1.0), _snap(y, -1.0, 1.0)) for x, y in pts)
-        if closed:
-            return LevelCurve(level, pp, True, None)
-        return LevelCurve(level, pp, False, (pp[0], pp[-1]))
+        # coordinates within SNAP_TOL of the rectangle boundary are snapped onto it
+        a = np.array(pts)
+        a = np.where(np.abs(a - (0.0, -1.0)) <= SNAP_TOL, (0.0, -1.0), a)
+        a = np.where(np.abs(a - 1.0) <= SNAP_TOL, 1.0, a)
+        return LevelCurve(level, closed, a)
 
     Xc, Yc = X0, Y0
     for nstep in range(max_steps):
@@ -355,10 +325,10 @@ def level_one_connects(params: BergerParams, K: float, **trace_kwargs) -> bool:
     tangential start and tracing is best-effort.
     """
     try:
-        curve = trace_level_curve(params, K, 1.0, PhasePoint(0.0, 1.0), 1, **trace_kwargs)
+        curve = trace_level_curve(params, K, 1.0, (0.0, 1.0), 1, **trace_kwargs)
     except CriticalPointError:
         return False
     if curve.closed:
         return False
-    end = curve.end
-    return abs(end.X) <= 1e-6 and abs(end.Y + 1.0) <= 1e-6
+    X, Y = curve.points[-1].tolist()
+    return abs(X) <= 1e-6 and abs(Y + 1.0) <= 1e-6

@@ -167,6 +167,22 @@ def _make_trajectory(params, K, s, x, y, alpha, termination) -> Trajectory:
     )
 
 
+def _bracket(lam, K, sx, cx, ca):
+    """The alpha bracket from sin x, cos x and cos alpha, in plain arithmetic:
+    floats give a float, numpy arrays broadcast."""
+    u = sx * sx
+    P = 1.0 - lam * u
+    R = 1.0 - 2.0 * lam * u
+    return P / R * K - ca**2 * ((1.0 - lam) / P + 4.0 * lam * cx * cx / R)
+
+
+def _rhs_terms(params: BergerParams, K: float, sx, cx, sa, ca, sqrt):
+    """(dx, dy, dalpha) from sin x, cos x, sin alpha and cos alpha, in plain
+    arithmetic: floats with ``sqrt = math.sqrt``, numpy arrays with np.sqrt."""
+    dy = sqrt(1.0 - params.lam * sx * sx) / (params.tau * cx) * sa
+    return ca, dy, sx / cx / sa * _bracket(params.lam, K, sx, cx, ca)
+
+
 def alpha_bracket(params: BergerParams, K: float, x: float, alpha: float) -> float:
     """The bracketed factor of the alpha equation.
 
@@ -176,26 +192,7 @@ def alpha_bracket(params: BergerParams, K: float, x: float, alpha: float) -> flo
     which the bracket vanishes identically).  The last term is written with
     cos^2 x rather than 1 - sin^2 x, which cancels near the pole.
     """
-    lam = params.lam
-    sx = math.sin(x)
-    cx = math.cos(x)
-    u = sx * sx
-    P = 1.0 - lam * u
-    R = 1.0 - 2.0 * lam * u
-    c2 = math.cos(alpha) ** 2
-    return P / R * K - c2 * ((1.0 - lam) / P + 4.0 * lam * cx * cx / R)
-
-
-def _rhs_raw(params: BergerParams, K: float, x: float, alpha: float):
-    """System right-hand side without singularity guards (integration core)."""
-    sx = math.sin(x)
-    cx = math.cos(x)
-    sa = math.sin(alpha)
-    P = 1.0 - params.lam * sx * sx
-    dx = math.cos(alpha)
-    dy = math.sqrt(P) / (params.tau * cx) * sa
-    dalpha = sx / cx / sa * alpha_bracket(params, K, x, alpha)
-    return dx, dy, dalpha
+    return _bracket(params.lam, K, math.sin(x), math.cos(x), math.cos(alpha))
 
 
 def rhs(
@@ -210,17 +207,17 @@ def rhs(
     Raises SingularityError naming the offending factor when |sin alpha|,
     |cos x| or |1 - 2 lam sin^2 x| is under ``singular_tol``.
     """
+    sx, cx = math.sin(state.x), math.cos(state.x)
     sa = math.sin(state.alpha)
-    cx = math.cos(state.x)
     if abs(sa) < singular_tol:
         raise SingularityError("sin(alpha)", "rhs is singular where sin(alpha) = 0")
     if abs(cx) < singular_tol:
         raise SingularityError("cos(x)", "rhs is singular where cos(x) = 0")
-    if abs(1.0 - 2.0 * params.lam * math.sin(state.x) ** 2) < singular_tol:
+    if abs(1.0 - 2.0 * params.lam * sx**2) < singular_tol:
         raise SingularityError(
             "1 - 2*lam*sin(x)^2", "rhs is singular on 1 - 2 lam sin^2 x = 0"
         )
-    return _rhs_raw(params, K, state.x, state.alpha)
+    return _rhs_terms(params, K, sx, cx, sa, math.cos(state.alpha), math.sqrt)
 
 
 def axis_seed(params: BergerParams, K: float, x_start: float = 1e-5) -> ProfileState:
@@ -266,8 +263,10 @@ def integrate(
         raise DomainError("need at least 2 samples")
     rhs(params, K, init, singular_tol=1e-13)  # init must be off the singular loci
 
-    def fun(s, v):
-        return _rhs_raw(params, K, v[0], v[2])
+    def fun(s, v):  # the rhs without singularity guards
+        x, a = v[0], v[2]
+        sx, cx, sa, ca = math.sin(x), math.cos(x), math.sin(a), math.cos(a)
+        return _rhs_terms(params, K, sx, cx, sa, ca, math.sqrt)
 
     def ev_axis(s, v):
         return math.sin(v[0]) - eps_axis
@@ -509,29 +508,20 @@ def rhs_residual(traj: Trajectory, *, singular_tol: float = SINGULAR_TOL) -> flo
     """Max deviation between centered finite differences of the trajectory
     and the system right-hand side, over interior samples.
 
-    Samples inside the singular guard (|sin alpha| or |cos x| under
-    ``singular_tol``) are skipped, since the rhs is not evaluable there.
+    Samples inside the singular guard of :func:`rhs` (|sin alpha|, |cos x| or
+    |1 - 2 lam sin^2 x| under ``singular_tol``) are skipped, since the rhs is
+    not evaluable there.
     """
     s, x, y, a = traj.arrays()
     if len(s) < 3:
         raise DomainError("need at least 3 samples")
-    worst = 0.0
-    for i in range(1, len(s) - 1):
-        sa = math.sin(a[i])
-        cx = math.cos(x[i])
-        if abs(sa) < singular_tol or abs(cx) < singular_tol:
-            continue
-        if abs(1.0 - 2.0 * traj.params.lam * math.sin(x[i]) ** 2) < singular_tol:
-            continue
-        ds = s[i + 1] - s[i - 1]
-        fd = (
-            (x[i + 1] - x[i - 1]) / ds,
-            (y[i + 1] - y[i - 1]) / ds,
-            (a[i + 1] - a[i - 1]) / ds,
-        )
-        rh = _rhs_raw(traj.params, traj.K, x[i], a[i])
-        worst = max(worst, max(abs(fd[j] - rh[j]) for j in range(3)))
-    return worst
+    sx, cx, sa = np.sin(x[1:-1]), np.cos(x[1:-1]), np.sin(a[1:-1])
+    keep = (np.abs(sa) >= singular_tol) & (np.abs(cx) >= singular_tol)
+    keep &= np.abs(1.0 - 2.0 * traj.params.lam * sx**2) >= singular_tol
+    with np.errstate(divide="ignore", invalid="ignore"):  # skipped samples only
+        rh = _rhs_terms(traj.params, traj.K, sx, cx, sa, np.cos(a[1:-1]), np.sqrt)
+    fd = [(v[2:] - v[:-2]) / (s[2:] - s[:-2]) for v in (x, y, a)]
+    return float(np.max(np.abs(np.subtract(fd, rh))[:, keep], initial=0.0))
 
 
 def embedding(params: BergerParams, state: ProfileState, t: float) -> AmbientPoint:

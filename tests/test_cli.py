@@ -120,6 +120,17 @@ class TestFlags:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert tmp_path.is_dir()
 
+    @pytest.mark.parametrize("parent_exists", [False, True])
+    def test_failed_run_removes_only_the_directories_it_made(
+            self, parent_exists, tmp_path, capsys):
+        nest = tmp_path / "nest"
+        if parent_exists:
+            nest.mkdir()
+        argv = ["phase", "--tau", "0.75", "--k", "nan", "--grid", "21"]
+        assert cli.main(argv + ["--out", str(nest / "D")]) == cli.EXIT_CONFIG
+        assert nest.is_dir() == parent_exists
+        assert not (nest / "D").exists()
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "afile"
         out.touch()
@@ -160,6 +171,15 @@ class TestThresholds:
         assert cli.main(["thresholds", "--tau", "0.2500001", "--tau", "0.2500002"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split()[0] for row in rows] == ["0.2500001", "0.2500002"]
+
+
+    def test_columns_line_up_under_the_header(self, capsys):
+        # lambda and K0 of tau = 0.2500001 print in full, wider than 12 characters
+        assert cli.main(["thresholds", "--tau", "0.2500001", "--tau", "0.75"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines[1].split()[1]) > 12
+        ends = [[m.end() for m in re.finditer(r"\S+", line)][:4] for line in lines]
+        assert all(e == ends[0] for e in ends[1:]), lines
 
 
 class TestPhaseCommand:

@@ -10,9 +10,9 @@ from scipy import ndimage
 from berger_cgc import (
     CriticalPointError,
     DomainError,
-    PhasePoint,
+    LevelCurve,
     energy_gradient,
-    energy_value,
+    energy_values,
     interior_critical_points,
     level_one_connects,
     make_params,
@@ -20,7 +20,7 @@ from berger_cgc import (
     trace_level_curve,
     verify,
 )
-from berger_cgc.phase import TRACE_TOL, energy_values
+from berger_cgc.phase import TRACE_TOL
 
 
 def exact_energy(lam: Fraction, K: Fraction, X: Fraction, Y: Fraction) -> Fraction:
@@ -35,14 +35,14 @@ class TestEnergyValue:
         for tau in [0.5, 0.75, 1.0, 2.0]:
             p = make_params(tau)
             for K in [0.3, 1.0, 5.0]:
-                assert energy_value(p, K, PhasePoint(0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
-                assert energy_value(p, K, PhasePoint(0.0, -1.0)) == pytest.approx(1.0, abs=1e-15)
+                assert energy_values(p, K, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+                assert energy_values(p, K, 0.0, -1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_far_edge(self):
         p = make_params(0.75)
         for K in [0.5, 2.0]:
             for Y in np.linspace(-1, 1, 7):
-                assert energy_value(p, K, PhasePoint(1.0, float(Y))) == pytest.approx(
+                assert energy_values(p, K, 1.0, float(Y)) == pytest.approx(
                     K * (1 - p.lam), abs=1e-14
                 )
 
@@ -50,7 +50,7 @@ class TestEnergyValue:
         # lam = 0, K = 4 at (1/2, 0): rational oracle gives exactly 2
         assert exact_energy(Fraction(0), Fraction(4), Fraction(1, 2), Fraction(0)) == 2
         p = make_params(1.0)
-        assert energy_value(p, 4.0, PhasePoint(0.5, 0.0)) == 2.0
+        assert energy_values(p, 4.0, 0.5, 0.0) == 2.0
 
     def test_matches_rational_oracle_on_dyadics(self):
         # dyadic inputs are exact in binary, so the float evaluation must
@@ -60,7 +60,7 @@ class TestEnergyValue:
         for X in [Fraction(1, 4), Fraction(3, 8), Fraction(7, 8)]:
             for Y in [Fraction(-1, 2), Fraction(1, 4), Fraction(1)]:
                 want = exact_energy(lam, Fraction(3), X, Y)
-                got = energy_value(p, 3.0, PhasePoint(float(X), float(Y)))
+                got = energy_values(p, 3.0, float(X), float(Y))
                 assert got == pytest.approx(float(want), rel=1e-15)
 
     def test_evenness_in_Y(self, rng):
@@ -69,16 +69,15 @@ class TestEnergyValue:
             for _ in range(100):
                 X = rng.uniform(0, 1)
                 Y = rng.uniform(0, 1)
-                d = energy_value(p, 2.0, PhasePoint(X, Y)) - energy_value(
-                    p, 2.0, PhasePoint(X, -Y)
-                )
+                d = energy_values(p, 2.0, X, Y) - energy_values(p, 2.0, X, -Y)
                 assert abs(d) <= 1e-14
 
     def test_rectangle_validation(self):
-        with pytest.raises(DomainError):
-            PhasePoint(-0.1, 0.0)
-        with pytest.raises(DomainError):
-            PhasePoint(0.5, 1.2)
+        # each start lies on its own level, so only the rectangle rejects it
+        p = make_params(0.75)
+        for X, Y in [(-0.1, 0.0), (0.5, 1.2)]:
+            with pytest.raises(DomainError, match="outside"):
+                trace_level_curve(p, 3.0, energy_values(p, 3.0, X, Y), (X, Y), 1)
 
 
 class TestBoundaryIdentities:
@@ -119,14 +118,14 @@ class TestGradient:
         for tau in [0.5, 0.75, 1.0, 2.0]:
             p = make_params(tau)
             for K in [0.5, 2.0, 5.0]:
-                gx, gy = energy_gradient(p, K, PhasePoint(0.0, 1.0))
+                gx, gy = energy_gradient(p, K, 0.0, 1.0)
                 assert gx == pytest.approx(K - (4 - 3 * tau * tau), abs=1e-13)
                 assert gy == pytest.approx(2.0, abs=1e-15)
 
     def test_y_zero_axis(self, rng):
         p = make_params(0.6)
         for _ in range(20):
-            _, gy = energy_gradient(p, 2.0, PhasePoint(rng.uniform(0, 1), 0.0))
+            _, gy = energy_gradient(p, 2.0, rng.uniform(0, 1), 0.0)
             assert gy == 0.0
 
     def test_finite_difference_oracle(self, rng):
@@ -137,14 +136,14 @@ class TestGradient:
             p = make_params(tau)
             X = rng.uniform(2 * eps, 1 - 2 * eps)
             Y = rng.uniform(-1 + 2 * eps, 1 - 2 * eps)
-            gx, gy = energy_gradient(p, K, PhasePoint(X, Y))
+            gx, gy = energy_gradient(p, K, X, Y)
             fdx = (
-                energy_value(p, K, PhasePoint(X + eps, Y))
-                - energy_value(p, K, PhasePoint(X - eps, Y))
+                energy_values(p, K, X + eps, Y)
+                - energy_values(p, K, X - eps, Y)
             ) / (2 * eps)
             fdy = (
-                energy_value(p, K, PhasePoint(X, Y + eps))
-                - energy_value(p, K, PhasePoint(X, Y - eps))
+                energy_values(p, K, X, Y + eps)
+                - energy_values(p, K, X, Y - eps)
             ) / (2 * eps)
             scale = max(1.0, abs(gx), abs(gy))
             assert abs(gx - fdx) <= 1e-6 * scale
@@ -159,13 +158,12 @@ class TestCriticalPoints:
 
     def test_large_lambda_segment(self):
         p = make_params(0.5)  # lam = 3/4
-        pts = interior_critical_points(p, 1.0)
-        assert len(pts) == 1
-        assert pts[0].X == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert pts[0].y_free
+        xs = interior_critical_points(p, 1.0)
+        assert len(xs) == 1
+        assert xs[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
         # the gradient really vanishes along the whole segment
         for Y in np.linspace(-0.9, 0.9, 7):
-            gx, gy = energy_gradient(p, 1.0, PhasePoint(pts[0].X, float(Y)))
+            gx, gy = energy_gradient(p, 1.0, xs[0], float(Y))
             assert abs(gx) <= 1e-13 and abs(gy) <= 1e-13
 
     def test_k_zero_degenerate(self):
@@ -194,31 +192,30 @@ class TestSphereExists:
 class TestTracing:
     def test_sphere_curve_connects(self):
         p = make_params(0.75)
-        c = trace_level_curve(p, 3.0, 1.0, PhasePoint(0.0, 1.0), 1)
+        c = trace_level_curve(p, 3.0, 1.0, (0.0, 1.0), 1)
         assert not c.closed
-        assert c.endpoints is not None
-        assert c.start.X == 0.0 and c.start.Y == 1.0
-        assert c.end.X == 0.0 and c.end.Y == -1.0
+        assert tuple(c.points[0]) == (0.0, 1.0)
+        assert tuple(c.points[-1]) == (0.0, -1.0)
         # every traced point sits on the level
-        vals = [energy_value(p, 3.0, q) for q in c.points]
-        assert max(abs(v - 1.0) for v in vals) <= TRACE_TOL
+        pts = c.points
+        vals = energy_values(p, 3.0, pts[:, 0], pts[:, 1])
+        assert np.max(np.abs(vals - 1.0)) <= TRACE_TOL
         # consecutive points stay within the tracing step bound
-        pts = np.array([(q.X, q.Y) for q in c.points])
         steps = np.hypot(*np.diff(pts, axis=0).T)
         assert steps.max() <= 8e-3 + 1e-12
 
     def test_below_threshold_does_not_connect(self):
         p = make_params(0.75)
-        c = trace_level_curve(p, 2.0, 1.0, PhasePoint(0.0, 1.0), 1)
-        end = c.end
-        assert not (abs(end.X) <= 1e-6 and abs(end.Y + 1) <= 1e-6)
+        c = trace_level_curve(p, 2.0, 1.0, (0.0, 1.0), 1)
+        X, Y = c.points[-1]
+        assert not (abs(X) <= 1e-6 and abs(Y + 1) <= 1e-6)
         # it exits through Y = 1 (or returns to the start corner)
-        assert end.Y == pytest.approx(1.0, abs=1e-6)
+        assert Y == pytest.approx(1.0, abs=1e-6)
 
     def test_tau_two_connects(self):
         p = make_params(2.0)
-        c = trace_level_curve(p, 0.3, 1.0, PhasePoint(0.0, 1.0), 1)
-        assert c.end.X == 0.0 and c.end.Y == -1.0
+        c = trace_level_curve(p, 0.3, 1.0, (0.0, 1.0), 1)
+        assert tuple(c.points[-1]) == (0.0, -1.0)
 
     def test_connectivity_helper(self):
         assert level_one_connects(make_params(0.75), 3.0)
@@ -232,29 +229,43 @@ class TestTracing:
         # there (boundary arrival or critical-point abort are both valid)
         p = make_params(2.0)
         try:
-            c = trace_level_curve(p, 0.25, 1.0, PhasePoint(0.0, 1.0), 1)
-            end = c.end
+            end = trace_level_curve(p, 0.25, 1.0, (0.0, 1.0), 1).points[-1]
         except CriticalPointError as exc:
             end = exc.partial.points[-1]
-        assert end.X == pytest.approx(1.0, abs=1e-3)
-        assert abs(end.Y) == pytest.approx(1 / math.sqrt(7), abs=1e-3)
+        assert end[0] == pytest.approx(1.0, abs=1e-3)
+        assert abs(end[1]) == pytest.approx(1 / math.sqrt(7), abs=1e-3)
 
     def test_start_not_on_level(self):
         p = make_params(0.75)
         with pytest.raises(DomainError):
-            trace_level_curve(p, 3.0, 1.0, PhasePoint(0.5, 0.5), 1)
+            trace_level_curve(p, 3.0, 1.0, (0.5, 0.5), 1)
 
     def test_start_at_critical_point(self):
         p = make_params(0.5)  # lam = 3/4, segment X = 2/3
         K = 3.6
         level = K / (4 * p.lam)
         with pytest.raises(DomainError):
-            trace_level_curve(p, K, level, PhasePoint(2.0 / 3.0, 0.3), 1)
+            trace_level_curve(p, K, level, (2.0 / 3.0, 0.3), 1)
 
     def test_direction_validation(self):
         p = make_params(0.75)
         with pytest.raises(DomainError):
-            trace_level_curve(p, 3.0, 1.0, PhasePoint(0.0, 1.0), 2)
+            trace_level_curve(p, 3.0, 1.0, (0.0, 1.0), 2)
+
+    def test_points_are_a_read_only_array(self):
+        c = trace_level_curve(make_params(2.0), 0.3, 1.0, (0.0, 1.0), 1)
+        assert c.points.dtype == float and c.points.ndim == 2 and c.points.shape[1] == 2
+        assert len(c.points) > 2
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 0.5
+
+    def test_point_outside_rectangle_rejected(self):
+        LevelCurve(1.0, False, [(0.0, 1.0), (1.0, -1.0)])  # corners are inside
+        for bad in [(-1e-9, 0.0), (1.0 + 1e-9, 0.0), (0.5, 1.0 + 1e-9), (0.5, math.nan)]:
+            with pytest.raises(DomainError, match="outside"):
+                LevelCurve(1.0, False, [(0.0, 1.0), bad])
+        with pytest.raises(DomainError, match=r"\(N, 2\)"):
+            LevelCurve(1.0, False, [(0.0, 1.0, 0.0), (0.5, 0.5, 0.0)])
 
     def test_marching_squares_oracle(self):
         # independent connectivity oracle on a dense grid
@@ -314,8 +325,8 @@ class TestConnectivityAgreesWithClosedForm:
 @settings(max_examples=200, deadline=None)
 def test_evenness_property(tau, K, X, Y):
     p = make_params(tau)
-    a = energy_value(p, K, PhasePoint(X, Y))
-    b = energy_value(p, K, PhasePoint(X, -Y))
+    a = energy_values(p, K, X, Y)
+    b = energy_values(p, K, X, -Y)
     assert a == b
 
 
@@ -323,7 +334,7 @@ def test_evenness_property(tau, K, X, Y):
 @settings(max_examples=200, deadline=None)
 def test_edge_values_property(tau, K, Y):
     p = make_params(tau)
-    assert energy_value(p, K, PhasePoint(0.0, Y)) == pytest.approx(Y * Y, abs=1e-12)
-    assert energy_value(p, K, PhasePoint(1.0, Y)) == pytest.approx(
+    assert energy_values(p, K, 0.0, Y) == pytest.approx(Y * Y, abs=1e-12)
+    assert energy_values(p, K, 1.0, Y) == pytest.approx(
         K * (1 - p.lam), rel=1e-12, abs=1e-12
     )

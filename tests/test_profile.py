@@ -418,3 +418,41 @@ class TestTrajectoryArrays:
         s = np.array([0.0, 0.1, 0.1, 0.2])
         with pytest.raises(DomainError, match="strictly increasing"):
             _make_trajectory(make_params(0.75), 3.0, s, s + 0.3, s, s + 0.5, "step_limit")
+
+
+def loop_rhs_residual(traj):
+    """rhs_residual sample by sample through the guarded scalar rhs."""
+    s, x, y, a = traj.arrays()
+    worst = 0.0
+    for i in range(1, len(s) - 1):
+        try:
+            rh = rhs(traj.params, traj.K, ProfileState(s[i], x[i], y[i], a[i]))
+        except SingularityError:
+            continue
+        fd = [(v[i + 1] - v[i - 1]) / (s[i + 1] - s[i - 1]) for v in (x, y, a)]
+        worst = max(worst, *(abs(f - r) for f, r in zip(fd, rh)))
+    return worst
+
+
+def _through_singular_sample(tau, x, alpha):
+    """101 samples whose middle one (s = 0.5) sits on a singular locus of the rhs."""
+    s = np.linspace(0.0, 1.0, 101)
+    return _make_trajectory(make_params(tau), 3.0, s, x(s - 0.5), s, alpha(s - 0.5), "step_limit")
+
+
+class TestRhsResidual:
+    @pytest.mark.parametrize("make_traj", [
+        # sin(alpha) = 0, cos(x) = 0 and 1 - 2 lam sin^2 x = 0 at the middle sample
+        lambda: _through_singular_sample(0.75, lambda t: 0.7 + 0.5 * t, lambda t: math.pi * t),
+        lambda: _through_singular_sample(0.75, lambda t: math.pi / 2 + 0.5 * t, lambda t: 1 + t),
+        lambda: _through_singular_sample(
+            0.5, lambda t: math.asin(math.sqrt(2.0 / 3.0)) + 0.5 * t, lambda t: 1 + t),
+        lambda: integrate(make_params(0.75), 3.0, axis_seed(make_params(0.75), 3.0), s_max=10.0),
+        lambda: clifford_solution(make_params(2.0), 0.7),
+    ], ids=["sin_alpha", "cos_x", "lam_factor", "sphere_profile", "clifford"])
+    def test_matches_the_sample_loop(self, make_traj):
+        # the same arithmetic on arrays: numpy's sin and cos may differ from
+        # math's in the last bit, so the bound is a few hundred ulps
+        traj = make_traj()
+        want = loop_rhs_residual(traj)
+        assert rhs_residual(traj) == pytest.approx(want, rel=512 * np.finfo(float).eps, abs=0.0)
