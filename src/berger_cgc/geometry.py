@@ -13,6 +13,7 @@ this module is a pure function of immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,8 @@ class BergerParams:
             raise DomainError(f"tau must be a finite positive real, got {tau!r}")
         tau = float(tau)
         t2 = tau * tau
+        if not (t2 >= sys.float_info.min and 1.0 / t2 >= sys.float_info.min):
+            raise DomainError(f"tau^2 and 1/tau^2 must be normal floats, got tau = {tau!r}")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lam", 1.0 - t2)
         if tau <= 1.0:

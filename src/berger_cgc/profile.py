@@ -19,7 +19,9 @@ with the conserved energy
 Integration is delegated to an adaptive embedded Runge-Kutta pair with
 dense output and terminal event detection at the axis (sin x -> 0), the
 pole (sin x -> 1) and the alpha singularity (sin alpha -> 0); the energy
-drift is recorded per sample.  alpha is stored unwrapped.
+drift is recorded per sample.  alpha is stored unwrapped.  The integrator,
+``scipy.integrate.solve_ivp``, is imported on first use: it is most of a
+cold start, and only :func:`integrate` needs it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, SingularityError
 from .geometry import AmbientPoint, BergerParams
@@ -59,6 +60,15 @@ EPS_SING = 1e-8
 SINGULAR_TOL = 1e-8
 
 TERMINATIONS = ("boundary_axis", "boundary_pole", "step_limit", "singular_alpha")
+
+
+def __getattr__(name):
+    """Import ``solve_ivp`` on first access, as the attribute integrate calls."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    globals()["solve_ivp"] = solve_ivp
+    return solve_ivp
 
 
 @dataclass(frozen=True)
@@ -284,6 +294,7 @@ def integrate(
     ev_sing.terminal = True
     ev_sing.direction = -1
 
+    solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
     sol = solve_ivp(
         fun,
         (init.s, init.s + s_max),

@@ -1,10 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from berger_cgc import integrate, make_params
 from berger_cgc.profile import ProfileState
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Run Python code in a new interpreter that imports the package from src/.
+
+    Returns ``run(code, *args)``, a completed process with text output; the
+    code sees ``args`` as ``sys.argv[1:]`` and runs in ``tmp_path``.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    return run
 
 
 @pytest.fixture

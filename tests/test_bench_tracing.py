@@ -4,10 +4,14 @@
 attribute names, so a refactor that removes or renames one of them breaks
 ``bench/run.py --trace 1``.  This test loads the tracer from its path, runs
 one small ``phase`` and one ``sphere --format obj`` under it, and checks
-that its counters moved and that ``restore`` puts every name back.
+that its counters moved and that ``restore`` puts every name back.  The
+tracer counts ODE right-hand-side evaluations through ``profile.solve_ivp``,
+which is imported on first use; a fresh interpreter checks that
+``integrate`` still calls whatever that name is bound to.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from berger_cgc import cli, phase, profile, sphere
@@ -53,3 +57,36 @@ def test_install_counts_and_restore(tmp_path, capsys):
     layers = tracing.summarize(tracer, 2)
     assert layers["phase.trace_level_curve.points"] > 0
     assert layers["sphere.build_mesh.vertices"] > 0
+
+
+# installs the tracer before scipy is loaded, integrates one short sphere
+# profile, restores, and prints what the test asserts as one JSON line
+TRACED_INTEGRATE = """
+import importlib.util, json, sys
+from berger_cgc import make_params, profile
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+loaded_before = "scipy.integrate" in sys.modules
+tracer = tracing.Tracer()
+restore = tracing.install(tracer)
+p = make_params(0.75)
+profile.integrate(p, 3.0, profile.axis_seed(p, 3.0), s_max=1.0, n_samples=65)
+restore()
+import scipy.integrate
+layers = tracing.summarize(tracer, 1)
+print(json.dumps({"loaded_before": loaded_before,
+                  "calls": layers["profile.integrate.calls"],
+                  "nfev": layers["profile.integrate.nfev"],
+                  "restored": profile.solve_ivp is scipy.integrate.solve_ivp}))
+"""
+
+
+def test_install_counts_the_lazily_imported_integrator(fresh_python):
+    proc = fresh_python(TRACED_INTEGRATE, str(TRACING))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["loaded_before"] is False
+    assert got["calls"] > 0
+    assert got["nfev"] > 0
+    assert got["restored"] is True

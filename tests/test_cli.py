@@ -108,6 +108,9 @@ class TestFlags:
         ["phase", "--tau", "0.75", "--k", "nan", "--grid", "21"],
         # outside [1e-13, 0.1]: a traceback, a hang, an internal error, a raised rtol
         *(["verify", "--tol", tol] for tol in ("1e-300", "5e-324", "1", "1e-14")),
+        # tau^2 overflows: lambda = -inf, or a traceback from the quadrature
+        ["thresholds", "--tau", "1e300"],
+        ["embed-region", "--tau", "1e300", "--k", "1"],
     ])
     def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

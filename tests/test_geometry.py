@@ -40,10 +40,19 @@ class TestParams:
         assert p.k0 == 0.25
         assert p.kp == 4.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e300, 1e-200])
     def test_rejects_bad_tau(self, bad):
         with pytest.raises(DomainError):
             make_params(bad)
+
+    def test_tau_range_ends_where_tau_squared_or_its_inverse_is_subnormal(self):
+        # tau = 2^-511 gives tau^2 = 2^-1022, and tau = 2^511 gives
+        # 1/tau^2 = 2^-1022: the least normal float.  One ulp outward is rejected.
+        for edge, outward in ((2.0**-511, 0.0), (2.0**511, math.inf)):
+            p = make_params(edge)
+            assert 0.0 < p.k0 <= p.kp < math.inf
+            with pytest.raises(DomainError):
+                make_params(math.nextafter(edge, outward))
 
     def test_threshold_order(self):
         for tau in np.linspace(0.05, 3.0, 121):
