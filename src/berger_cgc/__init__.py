@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`berger_cgc.geometry` -- ambient metric, Hopf fibration, curvature
-  thresholds k0 (existence) and kp (sectional-curvature bound).
+* :mod:`berger_cgc.geometry` -- the surface-of-revolution embedding, ambient
+  metric and Hopf fibration on (..., 4) point arrays, curvature thresholds
+  k0 (existence) and kp (sectional-curvature bound).
 * :mod:`berger_cgc.phase` -- the conserved-energy function on the phase
   rectangle, its critical structure, and level-curve tracing.
 * :mod:`berger_cgc.profile` -- the profile-curve ODE system, integration
@@ -25,7 +26,7 @@ from .errors import (
 from .geometry import (
     AmbientPoint,
     BergerParams,
-    TangentVector,
+    embedding,
     hopf_project,
     make_params,
     metric,
@@ -46,7 +47,6 @@ from .profile import (
     apply_symmetry,
     axis_seed,
     clifford_solution,
-    embedding,
     frobenius_residual,
     fundamental_form,
     integrate,

@@ -502,7 +502,8 @@ _COMMANDS = {
     "phase": (cmd_phase, _SWEEP + (
         ("--grid", dict(type=_checked(int, lambda n: n >= 2, "at least 2"), default=201,
                         help="phase grid resolution")),
-        ("--levels", dict(type=_float_list, help="comma list of contour levels")),
+        ("--levels", dict(type=_checked(_float_list, lambda v: all(map(math.isfinite, v)),
+                                        "finite"), help="comma list of contour levels")),
         _format_flag("csv", "svg"),
     )),
     "sphere": (cmd_sphere, _SWEEP + (

@@ -6,8 +6,9 @@ carrying the metric
     g_tau(u, v) = <u, v> - (1 - tau^2) <u, V> <v, V>,
 
 where <,> is the Euclidean inner product of R^4 = C^2 and V_(z,w) = (iz, iw)
-spans the Hopf-fiber direction.  tau = 1 is the round sphere.  Everything in
-this module is a pure function of immutable values.
+spans the Hopf-fiber direction.  tau = 1 is the round sphere.  Points and
+tangent vectors are (..., 4) float arrays (Re z, Im z, Re w, Im w), and the
+functions here broadcast over their leading axes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import DomainError
 __all__ = [
     "BergerParams",
     "AmbientPoint",
-    "TangentVector",
     "make_params",
+    "embedding",
     "metric",
     "hopf_project",
     "sectional_curvature",
@@ -85,84 +86,76 @@ def make_params(tau: float) -> BergerParams:
 
 @dataclass(frozen=True)
 class AmbientPoint:
-    """A point (z, w) of the unit 3-sphere in C^2."""
+    """A point (z, w) of the unit 3-sphere in C^2; no library function takes one."""
 
     z: complex
     w: complex
 
     def __post_init__(self):
-        n = abs(self.z) ** 2 + abs(self.w) ** 2
-        if not math.isfinite(n) or abs(n - 1.0) > UNIT_NORM_TOL:
-            raise DomainError(f"(z, w) not on the unit sphere: |z|^2+|w|^2 = {n!r}")
-
-    def vec4(self) -> np.ndarray:
-        """Coordinates as (Re z, Im z, Re w, Im w) in R^4."""
-        return np.array(
-            [self.z.real, self.z.imag, self.w.real, self.w.imag], dtype=float
-        )
-
-    @staticmethod
-    def from_vec4(v) -> "AmbientPoint":
-        v = np.asarray(v, dtype=float)
-        return AmbientPoint(complex(v[0], v[1]), complex(v[2], v[3]))
+        check_unit_norm(np.array([self.z.real, self.z.imag, self.w.real, self.w.imag]), "(z, w)")
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector to the 3-sphere, stored as a raw R^4 quadruple.
+def check_unit_norm(p, what):
+    """Raise DomainError unless every (..., 4) row of p lies on the unit
+    sphere within UNIT_NORM_TOL; non-finite rows are rejected too."""
+    off = np.abs(np.sum(p * p, axis=-1) - 1.0)
+    if not np.all(off <= UNIT_NORM_TOL):
+        raise DomainError(f"{what} off the unit sphere: ||v|^2 - 1| up to {np.max(off)!r}")
 
-    Tangency means Euclidean orthogonality to the base point; the Berger
-    metric only ever needs real inner products, so no complex structure is
-    kept on the vector itself.
-    """
 
-    vec: np.ndarray
-    base: AmbientPoint
+def _dot(u, v):
+    return np.sum(u * v, axis=-1)
 
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if v.shape != (4,):
-            raise DomainError(f"tangent vector must have 4 components, got {v.shape}")
-        object.__setattr__(self, "vec", v)
-        if abs(float(v @ self.base.vec4())) > TANGENT_TOL:
+
+def embedding(x, y, t) -> np.ndarray:
+    """Points Phi = (e^{iy} cos x, e^{it} sin x) of the surface of revolution
+    of the profile (x, y), as (..., 4) arrays; x, y and t broadcast, and each
+    trigonometric function runs on its input as given, before broadcasting."""
+    cx, sx = np.cos(x), np.sin(x)
+    v = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)) + (4,))
+    v[..., 0] = np.cos(y) * cx
+    v[..., 1] = np.sin(y) * cx
+    v[..., 2] = np.cos(t) * sx
+    v[..., 3] = np.sin(t) * sx
+    return v
+
+
+def fiber_direction(p) -> np.ndarray:
+    """The Hopf-fiber field V = (iz, iw) at the (..., 4) points p.
+    g_tau(V, V) = tau^2."""
+    p = np.asarray(p, dtype=float)
+    return np.stack([-p[..., 1], p[..., 0], -p[..., 3], p[..., 2]], axis=-1)
+
+
+def tangent_projection(p, v) -> np.ndarray:
+    """Project R^4 vectors v onto the tangent spaces at the unit points p;
+    both are (..., 4) arrays and broadcast."""
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+    return v - _dot(v, p)[..., None] * p
+
+
+def metric(params: BergerParams, p, u, v):
+    """Berger metric g_tau(u, v) of tangent vectors u and v at base points p,
+    all (..., 4) arrays that broadcast.  DomainError if any p is off the unit
+    sphere or any u or v is not tangent there (|<u, p>| over TANGENT_TOL)."""
+    p, u, v = (np.asarray(a, dtype=float) for a in (p, u, v))
+    check_unit_norm(p, "base point")
+    for w in (u, v):
+        if not np.all(np.abs(_dot(w, p)) <= TANGENT_TOL):
             raise DomainError("vector is not tangent to the sphere at its base point")
+    V = fiber_direction(p)
+    return _dot(u, v) - params.lam * _dot(u, V) * _dot(v, V)
 
 
-def fiber_direction(p: AmbientPoint) -> TangentVector:
-    """The Hopf-fiber field V = (iz, iw) at p.  g_tau(V, V) = tau^2."""
-    z, w = p.z, p.w
-    return TangentVector(np.array([-z.imag, z.real, -w.imag, w.real]), p)
-
-
-def tangent_projection(p: AmbientPoint, v) -> TangentVector:
-    """Project an arbitrary R^4 vector onto the tangent space at p."""
-    v = np.asarray(v, dtype=float)
-    b = p.vec4()
-    return TangentVector(v - (v @ b) * b, p)
-
-
-def _same_base(u: TangentVector, v: TangentVector) -> bool:
-    return bool(np.max(np.abs(u.base.vec4() - v.base.vec4())) <= 1e-12)
-
-
-def metric(params: BergerParams, u: TangentVector, v: TangentVector) -> float:
-    """Berger metric g_tau(u, v) at the common base point of u and v."""
-    if not _same_base(u, v):
-        raise DomainError("metric arguments must share the same base point")
-    V = fiber_direction(u.base).vec
-    return float(u.vec @ v.vec - params.lam * (u.vec @ V) * (v.vec @ V))
-
-
-def hopf_project(p: AmbientPoint) -> np.ndarray:
-    """Hopf fibration (z, w) -> (z conj(w), (|z|^2 - |w|^2)/2) in R^3.
+def hopf_project(p) -> np.ndarray:
+    """Hopf fibration (z, w) -> (z conj(w), (|z|^2 - |w|^2)/2) of (..., 4) points.
 
     The image lies on the sphere of radius 1/2; the map is a Riemannian
     submersion onto the 2-sphere of curvature 4 and is invariant under the
     fiber action (z, w) -> (e^{i t} z, e^{i t} w).
     """
-    zw = p.z * p.w.conjugate()
-    third = 0.5 * (abs(p.z) ** 2 - abs(p.w) ** 2)
-    return np.array([zw.real, zw.imag, third])
+    a, b, c, d = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    return np.stack([a * c + b * d, b * c - a * d, 0.5 * (a * a + b * b - c * c - d * d)], axis=-1)
 
 
 def sectional_curvature(params: BergerParams, nu: float) -> float:

@@ -34,12 +34,15 @@ __all__ = [
     "level_one_connects",
 ]
 
-#: default on-level tolerance for traced curves
+#: on-level tolerance for traced curves
 TRACE_TOL = 1e-9
 #: points this close to the rectangle boundary are snapped onto it
 SNAP_TOL = 1e-12
 #: gradient norms below this abort a trace as a critical-point encounter
 GRAD_TOL = 1e-12
+#: tracer steps: the first, the cap it grows back to, the floor under which a
+#: failed corrector aborts, and how many a trace may take before it is returned
+FIRST_STEP, MAX_STEP, MIN_STEP, MAX_STEPS = 1e-3, 4e-3, 1e-8, 50000
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,12 @@ def _inside(X: float, Y: float) -> bool:
     return -SNAP_TOL <= X <= 1.0 + SNAP_TOL and -1.0 - SNAP_TOL <= Y <= 1.0 + SNAP_TOL
 
 
-def _correct(lam, K, level, X, Y, trace_tol, max_iter=12):
+def _correct(lam, K, level, X, Y, max_iter=12):
     """Newton-project (X, Y) onto the level set.  Returns None on failure."""
     for _ in range(max_iter):
         F, fx, fy = _f_and_grad(lam, K, X, Y)
         resid = F - level
-        if abs(resid) <= trace_tol:
+        if abs(resid) <= TRACE_TOL:
             return X, Y
         g2 = fx * fx + fy * fy
         if g2 < GRAD_TOL * GRAD_TOL:
@@ -150,7 +153,7 @@ def _correct(lam, K, level, X, Y, trace_tol, max_iter=12):
         X -= resid * fx / g2
         Y -= resid * fy / g2
     F, _, _ = _f_and_grad(lam, K, X, Y)
-    if abs(F - level) <= trace_tol:
+    if abs(F - level) <= TRACE_TOL:
         return X, Y
     return None
 
@@ -209,22 +212,16 @@ def trace_level_curve(
     level: float,
     start: tuple[float, float],
     direction: int = 1,
-    *,
-    first_step: float = 1e-3,
-    max_step: float = 4e-3,
-    min_step: float = 1e-8,
-    trace_tol: float = TRACE_TOL,
-    max_steps: int = 50000,
 ) -> LevelCurve:
     """Trace one level curve of the energy by predictor-corrector continuation.
 
     The predictor steps along the unit tangent (orthogonal to the analytic
     gradient); the corrector Newton-projects back onto the level set.  Steps
-    shrink on corrector failure and grow back towards ``max_step`` after
+    shrink on corrector failure and grow back towards MAX_STEP after
     clean corrections.  The trace clips to the phase rectangle: on leaving
     it, the exit segment is intersected with the boundary and the endpoint
     refined along the edge.  Termination is by boundary exit, closure of the
-    curve, or ``max_steps``.
+    curve, or MAX_STEPS.
 
     ``start`` is an (X, Y) pair in [0, 1] x [-1, 1] on the level set.
     ``direction = +1`` starts along the tangent obtained by rotating the
@@ -239,7 +236,7 @@ def trace_level_curve(
     if not (0.0 <= X0 <= 1.0 and -1.0 <= Y0 <= 1.0):
         raise DomainError(f"start point {(X0, Y0)!r} outside [0, 1] x [-1, 1]")
     F0, fx, fy = _f_and_grad(lam, K, X0, Y0)
-    if abs(F0 - level) > max(trace_tol, 1e-9):
+    if abs(F0 - level) > TRACE_TOL:
         raise DomainError(
             f"start point is not on the level set: |F - level| = {abs(F0 - level)!r}"
         )
@@ -252,7 +249,7 @@ def trace_level_curve(
     # clockwise rotation of the gradient for direction +1
     tx, ty = direction * fy / gnorm, -direction * fx / gnorm
     pts = [(X0, Y0)]
-    h = first_step
+    h = FIRST_STEP
     closed = False
 
     def make_curve():
@@ -263,17 +260,17 @@ def trace_level_curve(
         return LevelCurve(level, closed, a)
 
     Xc, Yc = X0, Y0
-    for nstep in range(max_steps):
+    for nstep in range(MAX_STEPS):
         # predictor
         Xp, Yp = Xc + h * tx, Yc + h * ty
-        res = _correct(lam, K, level, Xp, Yp, trace_tol)
+        res = _correct(lam, K, level, Xp, Yp)
         if res is not None:
             dx, dy = res[0] - Xc, res[1] - Yc
             if math.hypot(dx, dy) > 2.0 * h:
                 res = None  # corrector jumped to a different branch
         if res is None:
             h *= 0.5
-            if h < min_step:
+            if h < MIN_STEP:
                 raise CriticalPointError(
                     "corrector failed at minimal step (critical point or cusp)",
                     partial=make_curve(),
@@ -312,12 +309,12 @@ def trace_level_curve(
         tx, ty = ntx, nty
         pts.append((Xn, Yn))
         Xc, Yc = Xn, Yn
-        h = min(max_step, h * 1.4)
+        h = min(MAX_STEP, h * 1.4)
 
     return make_curve()
 
 
-def level_one_connects(params: BergerParams, K: float, **trace_kwargs) -> bool:
+def level_one_connects(params: BergerParams, K: float) -> bool:
     """Trace-based check that the level-1 curve joins (0, 1) to (0, -1).
 
     Independent cross-validation of :func:`sphere_exists`; meaningful away
@@ -325,7 +322,7 @@ def level_one_connects(params: BergerParams, K: float, **trace_kwargs) -> bool:
     tangential start and tracing is best-effort.
     """
     try:
-        curve = trace_level_curve(params, K, 1.0, (0.0, 1.0), 1, **trace_kwargs)
+        curve = trace_level_curve(params, K, 1.0, (0.0, 1.0), 1)
     except CriticalPointError:
         return False
     if curve.closed:

@@ -33,12 +33,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .geometry import AmbientPoint, BergerParams
+from .geometry import BergerParams
 
 __all__ = [
     "ProfileState",
     "Trajectory",
-    "FundamentalForm",
     "rhs",
     "alpha_bracket",
     "axis_seed",
@@ -49,7 +48,6 @@ __all__ = [
     "fundamental_form",
     "frobenius_residual",
     "rhs_residual",
-    "embedding",
     "energy",
 ]
 
@@ -58,6 +56,8 @@ EPS_POLE = 1e-9
 EPS_SING = 1e-8
 #: default guard under which rhs refuses to evaluate a singular factor
 SINGULAR_TOL = 1e-8
+#: colatitude of the axis_seed launch state
+AXIS_SEED_X = 1e-5
 
 TERMINATIONS = ("boundary_axis", "boundary_pole", "step_limit", "singular_alpha")
 
@@ -74,7 +74,7 @@ def __getattr__(name):
 @dataclass(frozen=True)
 class ProfileState:
     """(s, x, y, alpha): arc parameter and profile-curve coordinates of one
-    state, as taken by :func:`rhs`, :func:`integrate` and :func:`embedding`."""
+    state, as taken by :func:`rhs` and :func:`integrate`."""
 
     s: float
     x: float
@@ -87,15 +87,6 @@ class ProfileState:
                 raise DomainError(f"non-finite profile state component {name}")
         if math.sin(self.x) < -1e-12:
             raise DomainError(f"profile requires sin x >= 0, got x = {self.x!r}")
-
-
-@dataclass(frozen=True)
-class FundamentalForm:
-    """First fundamental form components at one profile state."""
-
-    E: float
-    F: float
-    G: float
 
 
 def energy(params: BergerParams, K: float, x, alpha):
@@ -230,13 +221,13 @@ def rhs(
     return _rhs_terms(params, K, sx, cx, sa, math.cos(state.alpha), math.sqrt)
 
 
-def axis_seed(params: BergerParams, K: float, x_start: float = 1e-5) -> ProfileState:
+def axis_seed(params: BergerParams, K: float) -> ProfileState:
     """Launch state just off the axis for a sphere-profile integration.
 
     The system is singular on the axis itself; balancing the alpha equation
     near (x, alpha) = (0, 0) gives the asymptotic departure
     alpha ~ sqrt(K - (4 - 3 tau^2)) x, which places the seed on the unit
-    energy level to fourth order in ``x_start``.  Degenerates as K
+    energy level to fourth order in AXIS_SEED_X.  Degenerates as K
     approaches 4 - 3 tau^2 (= k0 when tau <= 1); sphere construction near
     that threshold goes through phase-space tracing instead.
     """
@@ -246,7 +237,7 @@ def axis_seed(params: BergerParams, K: float, x_start: float = 1e-5) -> ProfileS
             "axis seed undefined: it requires K > 4 - 3 tau^2 "
             f"(got K = {K!r}, threshold {3.0 * params.lam + 1.0!r})"
         )
-    return ProfileState(0.0, x_start, 0.0, math.sqrt(c2) * x_start)
+    return ProfileState(0.0, AXIS_SEED_X, 0.0, math.sqrt(c2) * AXIS_SEED_X)
 
 
 def integrate(
@@ -258,14 +249,11 @@ def integrate(
     n_samples: int = 513,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    eps_axis: float = EPS_AXIS,
-    eps_pole: float = EPS_POLE,
-    eps_sing: float = EPS_SING,
 ) -> Trajectory:
     """Integrate the profile system forward from ``init`` over at most s_max.
 
     Dormand-Prince 8(5,3) with dense output; terminal events stop the run
-    at sin x <= eps_axis, sin x >= 1 - eps_pole or |sin alpha| <= eps_sing
+    at sin x <= EPS_AXIS, sin x >= 1 - EPS_POLE or |sin alpha| <= EPS_SING
     (event roots located on the dense output).  Samples are uniform in s
     over the realized span.  Reaching s_max is reported as ``step_limit``.
     """
@@ -279,13 +267,13 @@ def integrate(
         return _rhs_terms(params, K, sx, cx, sa, ca, math.sqrt)
 
     def ev_axis(s, v):
-        return math.sin(v[0]) - eps_axis
+        return math.sin(v[0]) - EPS_AXIS
 
     def ev_pole(s, v):
-        return math.sin(v[0]) - (1.0 - eps_pole)
+        return math.sin(v[0]) - (1.0 - EPS_POLE)
 
     def ev_sing(s, v):
-        return abs(math.sin(v[2])) - eps_sing
+        return abs(math.sin(v[2])) - EPS_SING
 
     ev_axis.terminal = True
     ev_axis.direction = -1
@@ -458,18 +446,14 @@ def geodesic_sphere_solution(
 
 
 # ---------------------------------------------------------------------------
-# first fundamental form, curvature diagnostics, embedding
+# first fundamental form, curvature diagnostics
 # ---------------------------------------------------------------------------
 
 
-def fundamental_form(
-    params: BergerParams,
-    K: float,
-    state: ProfileState,
-    xprime: float,
-    yprime: float,
-) -> FundamentalForm:
-    """Closed-form first fundamental form of the revolved surface.
+def fundamental_form(params: BergerParams, x, xprime, yprime):
+    """Closed-form first fundamental form (E, F, G) of the revolved surface
+    :func:`berger_cgc.geometry.embedding`, at profile colatitudes x with
+    profile derivatives (x', y'); the arguments broadcast.
 
     E = x'^2 + cos^2 x (1 - lam cos^2 x) y'^2,
     F = -lam sin^2 x cos^2 x y',
@@ -479,12 +463,12 @@ def fundamental_form(
     E G - F^2 = G.
     """
     lam = params.lam
-    sx2 = math.sin(state.x) ** 2
-    cx2 = math.cos(state.x) ** 2
+    sx2 = np.sin(x) ** 2
+    cx2 = np.cos(x) ** 2
     E = xprime * xprime + cx2 * (1.0 - lam * cx2) * yprime * yprime
     F = -lam * sx2 * cx2 * yprime
     G = (1.0 - lam * sx2) * sx2
-    return FundamentalForm(E, F, G)
+    return E, F, G
 
 
 def frobenius_residual(traj: Trajectory) -> float:
@@ -515,29 +499,21 @@ def frobenius_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(d2 + traj.K * phi[1:-1])))
 
 
-def rhs_residual(traj: Trajectory, *, singular_tol: float = SINGULAR_TOL) -> float:
+def rhs_residual(traj: Trajectory) -> float:
     """Max deviation between centered finite differences of the trajectory
     and the system right-hand side, over interior samples.
 
     Samples inside the singular guard of :func:`rhs` (|sin alpha|, |cos x| or
-    |1 - 2 lam sin^2 x| under ``singular_tol``) are skipped, since the rhs is
+    |1 - 2 lam sin^2 x| under SINGULAR_TOL) are skipped, since the rhs is
     not evaluable there.
     """
     s, x, y, a = traj.arrays()
     if len(s) < 3:
         raise DomainError("need at least 3 samples")
     sx, cx, sa = np.sin(x[1:-1]), np.cos(x[1:-1]), np.sin(a[1:-1])
-    keep = (np.abs(sa) >= singular_tol) & (np.abs(cx) >= singular_tol)
-    keep &= np.abs(1.0 - 2.0 * traj.params.lam * sx**2) >= singular_tol
+    keep = (np.abs(sa) >= SINGULAR_TOL) & (np.abs(cx) >= SINGULAR_TOL)
+    keep &= np.abs(1.0 - 2.0 * traj.params.lam * sx**2) >= SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore"):  # skipped samples only
         rh = _rhs_terms(traj.params, traj.K, sx, cx, sa, np.cos(a[1:-1]), np.sqrt)
     fd = [(v[2:] - v[:-2]) / (s[2:] - s[:-2]) for v in (x, y, a)]
     return float(np.max(np.abs(np.subtract(fd, rh))[:, keep], initial=0.0))
-
-
-def embedding(params: BergerParams, state: ProfileState, t: float) -> AmbientPoint:
-    """Point of the revolved surface: Phi(s, t) = (e^{iy} cos x, e^{it} sin x)."""
-    return AmbientPoint(
-        complex(math.cos(state.y), math.sin(state.y)) * math.cos(state.x),
-        complex(math.cos(t), math.sin(t)) * math.sin(state.x),
-    )

@@ -27,6 +27,8 @@ from .errors import AccuracyError
 __all__ = ["tanhsinh", "CumulativeGauss"]
 
 _PI_2 = math.pi / 2.0
+#: Gauss-Legendre nodes per CumulativeGauss panel
+GAUSS_NODES = 16
 
 
 def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12):
@@ -98,17 +100,17 @@ class CumulativeGauss:
     """Running integral of a smooth vectorized integrand on [a, b].
 
     The interval is split into ``n_panels`` equal panels; panel-boundary
-    cumulative sums use an ``n_nodes``-point Gauss-Legendre rule, and
+    cumulative sums use a GAUSS_NODES-point Gauss-Legendre rule, and
     :meth:`value` evaluates int_a^x with the same rule on the partial panel,
     so all returned values are mutually consistent to rule accuracy.
     """
 
-    def __init__(self, f, a: float, b: float, n_panels: int = 256, n_nodes: int = 16):
+    def __init__(self, f, a: float, b: float, n_panels: int):
         self.f = f
         self.a = float(a)
         self.b = float(b)
         self.n_panels = int(n_panels)
-        nodes, weights = np.polynomial.legendre.leggauss(int(n_nodes))
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
         self._nodes = nodes  # on [-1, 1]
         self._weights = weights
         self.edges = np.linspace(self.a, self.b, self.n_panels + 1)

@@ -36,7 +36,7 @@ from .errors import (
 )
 # AmbientPoint is not called here; bench/tracing.py counts vertex objects
 # by patching this binding and expects the count to stay 0
-from .geometry import UNIT_NORM_TOL, AmbientPoint, BergerParams, make_params  # noqa: F401
+from .geometry import AmbientPoint, BergerParams, check_unit_norm, embedding  # noqa: F401
 from .profile import Trajectory, _make_trajectory, clifford_solution
 from .quadrature import CumulativeGauss, tanhsinh
 
@@ -59,6 +59,10 @@ __all__ = [
 EMBED_BAND = 1e-8
 #: K within this of k0 takes the degenerate-threshold path
 DEGENERATE_K_TOL = 1e-6
+#: Gauss panels of each half-profile quadrature
+PROFILE_PANELS = 256
+#: bisection steps of embeddedness_boundary before it gives up
+BOUNDARY_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,7 @@ class SurfaceMesh:
     n_t: int
 
     def __post_init__(self):
-        off = np.abs(np.sum(self.vertices * self.vertices, axis=1) - 1.0)
-        if not np.all(off <= UNIT_NORM_TOL):  # also rejects non-finite vertices
-            raise DomainError(
-                f"mesh vertices off the unit sphere: ||v|^2 - 1| up to {np.max(off)!r}"
-            )
+        check_unit_norm(self.vertices, "mesh vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,10 @@ def vertical_radius(params: BergerParams, K: float, *, atol: float = 1e-10) -> f
     return value
 
 
-def is_embedded(params: BergerParams, K: float, *, band: float = EMBED_BAND) -> bool:
+def is_embedded(params: BergerParams, K: float) -> bool:
     """Embeddedness of the sphere: h < pi, strictly.
 
-    Within ``band`` of the boundary h = pi the verdict is indeterminate at
+    Within EMBED_BAND of the boundary h = pi the verdict is indeterminate at
     the quadrature accuracy and EmbeddednessBoundaryError is raised instead
     of silently rounding.
     """
@@ -212,8 +212,8 @@ def is_embedded(params: BergerParams, K: float, *, band: float = EMBED_BAND) -> 
         if exc.achieved == math.inf:
             return False  # divergent vertical radius: certainly not embedded
         raise
-    if abs(h - math.pi) < band:
-        raise EmbeddednessBoundaryError(h, band)
+    if abs(h - math.pi) < EMBED_BAND:
+        raise EmbeddednessBoundaryError(h, EMBED_BAND)
     return h < math.pi
 
 
@@ -223,7 +223,6 @@ def embeddedness_boundary(
     tau_hi: float,
     *,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> float:
     """Root tau* of h(tau, K) = pi on [tau_lo, tau_hi].
 
@@ -233,7 +232,7 @@ def embeddedness_boundary(
     """
 
     def f(tau):
-        return vertical_radius(make_params(tau), K) - math.pi
+        return vertical_radius(BergerParams(tau), K) - math.pi
 
     lo, hi = float(tau_lo), float(tau_hi)
     flo, fhi = f(lo), f(hi)
@@ -247,7 +246,7 @@ def embeddedness_boundary(
             f"(values {flo!r}, {fhi!r})"
         )
     mid, fmid = lo, flo
-    for _ in range(max_iter):
+    for _ in range(BOUNDARY_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= tol:
@@ -289,10 +288,10 @@ class _HalfProfile(_Factors):
     panels recover s(theta) and y(theta) to near machine accuracy.
     """
 
-    def __init__(self, params: BergerParams, K: float, n_panels: int = 256):
+    def __init__(self, params: BergerParams, K: float):
         super().__init__(params, K)
-        self._s_of_theta = CumulativeGauss(self._ds_dtheta, 0.0, math.pi / 2.0, n_panels)
-        self._y_of_theta = CumulativeGauss(self._dy_dtheta, 0.0, math.pi / 2.0, n_panels)
+        self._s_of_theta = CumulativeGauss(self._ds_dtheta, 0.0, math.pi / 2.0, PROFILE_PANELS)
+        self._y_of_theta = CumulativeGauss(self._dy_dtheta, 0.0, math.pi / 2.0, PROFILE_PANELS)
         self.half_length = self._s_of_theta.total
         self.h = self._y_of_theta.total
 
@@ -347,7 +346,6 @@ def build_sphere(
     samples: int = 512,
     *,
     spacing: Optional[float] = None,
-    n_panels: int = 256,
 ) -> SphereSolution:
     """Assemble the sphere solution for curvature K >= k0.
 
@@ -368,7 +366,7 @@ def build_sphere(
     _check_h_finite(params, K)
     degenerate = (K - params.k0) <= DEGENERATE_K_TOL * max(1.0, abs(params.k0))
 
-    half = _HalfProfile(params, K, n_panels=n_panels)
+    half = _HalfProfile(params, K)
     T = 2.0 * half.half_length
     h = half.h
 
@@ -418,13 +416,7 @@ def _rings(x, y, n_t: int) -> np.ndarray:
     """Ring product of profile samples (x, y) with t = 2 pi j / n_t:
     the (len(x) * n_t, 4) points (e^{iy} cos x, e^{it} sin x), ring by ring."""
     t = np.arange(n_t) * (2.0 * math.pi / n_t)
-    cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
-    v = np.empty((len(x), n_t, 4))
-    v[..., 0] = np.cos(y)[:, None] * cx
-    v[..., 1] = np.sin(y)[:, None] * cx
-    v[..., 2] = np.cos(t) * sx
-    v[..., 3] = np.sin(t) * sx
-    return v.reshape(-1, 4)
+    return embedding(x[:, None], y[:, None], t).reshape(-1, 4)
 
 
 def _quads(grid: np.ndarray) -> np.ndarray:

@@ -52,15 +52,14 @@ def pole_traj():
     return integrate(p, K, ProfileState(0.0, x0, 0.0, math.acos(math.sqrt(c2))), s_max=5.0)
 
 
-def random_ambient_point(rng):
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    from berger_cgc import AmbientPoint
-
-    return AmbientPoint(complex(v[0], v[1]), complex(v[2], v[3]))
+def random_ambient_point(rng, n=None):
+    """A random point of the unit 3-sphere as a (4,) array, or n of them as (n, 4)."""
+    v = rng.normal(size=(4,) if n is None else (n, 4))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def random_tangent(rng, p):
+    """A random tangent vector at each (..., 4) point p."""
     from berger_cgc.geometry import tangent_projection
 
-    return tangent_projection(p, rng.normal(size=4))
+    return tangent_projection(p, rng.normal(size=np.shape(p)))

@@ -33,11 +33,9 @@ from berger_cgc import (
     verify,
     vertical_radius,
 )
-from berger_cgc.geometry import metric, tangent_projection
+from berger_cgc.geometry import embedding, metric, tangent_projection
 from berger_cgc.profile import (
-    ProfileState,
     alpha_bracket,
-    embedding,
     frobenius_residual,
     fundamental_form,
     geodesic_sphere_solution,
@@ -249,34 +247,30 @@ def test_11_fundamental_form_cross_check():
     s, x, y, a = traj.arrays()
     spl_x, spl_y, spl_a = CubicSpline(s, x), CubicSpline(s, y), CubicSpline(s, a)
     h = 1e-5
-    worst_fd = 0.0
-    worst_id = 0.0
-    for _ in range(100):
-        si = rng.uniform(s[0] + 0.05, s[-1] - 0.05)
-        t = rng.uniform(0, 2 * math.pi)
-        xi, ai = float(spl_x(si)), float(spl_a(si))
-        st = ProfileState(si, xi, float(spl_y(si)), ai)
-        # exact unit-speed derivatives of the profile system
-        xp = math.cos(ai)
-        yp = math.sqrt(1 - p.lam * math.sin(xi) ** 2) / (p.tau * math.cos(xi)) * math.sin(ai)
-        ff = fundamental_form(p, K, st, xp, yp)
-        worst_id = max(worst_id, abs(ff.E * ff.G - ff.F**2 - ff.G))
+    # 100 samples (s_i, t_i), drawn in the order of one uniform(s) and one
+    # uniform(t) per sample
+    lo, hi = s[0] + 0.05, s[-1] - 0.05
+    si, t = (np.array([lo, 0.0]) + np.array([hi - lo, 2 * math.pi])
+             * rng.uniform(size=(100, 2))).T
+    xi, ai = spl_x(si), spl_a(si)
+    # exact unit-speed derivatives of the profile system
+    xp = np.cos(ai)
+    yp = np.sqrt(1 - p.lam * np.sin(xi) ** 2) / (p.tau * np.cos(xi)) * np.sin(ai)
+    E, F, G = fundamental_form(p, xi, xp, yp)
+    worst_id = float(np.max(np.abs(E * G - F**2 - G)))
 
-        def phi(sv, tv):
-            return embedding(
-                p, ProfileState(sv, float(spl_x(sv)), float(spl_y(sv)), 0.0), tv
-            )
+    def phi(sv, tv):
+        return embedding(spl_x(sv), spl_y(sv), tv)
 
-        base = phi(si, t)
-        du = tangent_projection(base, (phi(si + h, t).vec4() - phi(si - h, t).vec4()) / (2 * h))
-        dv = tangent_projection(base, (phi(si, t + h).vec4() - phi(si, t - h).vec4()) / (2 * h))
-        scale = max(1.0, abs(ff.E), abs(ff.F), abs(ff.G))
-        worst_fd = max(
-            worst_fd,
-            abs(metric(p, du, du) - ff.E) / scale,
-            abs(metric(p, du, dv) - ff.F) / scale,
-            abs(metric(p, dv, dv) - ff.G) / scale,
-        )
+    base = phi(si, t)
+    du = tangent_projection(base, (phi(si + h, t) - phi(si - h, t)) / (2 * h))
+    dv = tangent_projection(base, (phi(si, t + h) - phi(si, t - h)) / (2 * h))
+    scale = np.max(np.abs([np.ones_like(E), E, F, G]), axis=0)
+    worst_fd = float(np.max([
+        np.abs(metric(p, base, du, du) - E) / scale,
+        np.abs(metric(p, base, du, dv) - F) / scale,
+        np.abs(metric(p, base, dv, dv) - G) / scale,
+    ]))
     ok = worst_fd <= 1e-6 and worst_id <= 1e-10
     budget.check()
     report(

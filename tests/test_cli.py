@@ -111,6 +111,9 @@ class TestFlags:
         # tau^2 overflows: lambda = -inf, or a traceback from the quadrature
         ["thresholds", "--tau", "1e300"],
         ["embed-region", "--tau", "1e300", "--k", "1"],
+        # non-finite contour levels: a contours CSV with only its header
+        ["phase", "--tau", "0.75", "--k", "3", "--grid", "3", "--levels", "nan,inf,-inf"],
+        ["phase", "--tau", "0.75", "--k", "3", "--grid", "3", "--levels", "1,nan"],
     ])
     def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

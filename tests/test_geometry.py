@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from berger_cgc import (
     AmbientPoint,
     DomainError,
-    TangentVector,
     hopf_project,
     make_params,
     metric,
@@ -72,80 +71,92 @@ class TestAmbientTypes:
         AmbientPoint(1.0 + 0j, 0j)  # fine
 
     def test_tangent_must_be_orthogonal(self):
-        p = AmbientPoint(1.0 + 0j, 0j)
-        with pytest.raises(DomainError):
-            TangentVector(np.array([1.0, 0.0, 0.0, 0.0]), p)
-        TangentVector(np.array([0.0, 1.0, 0.0, 0.0]), p)
+        p, params = np.array([1.0, 0.0, 0.0, 0.0]), make_params(0.75)
+        normal, tangent = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+        for u, v in ((normal, tangent), (tangent, normal)):
+            with pytest.raises(DomainError):
+                metric(params, p, u, v)
+        metric(params, p, tangent, tangent)  # fine
 
     def test_projection_makes_tangents(self, rng):
-        for _ in range(20):
-            p = random_ambient_point(rng)
-            t = tangent_projection(p, rng.normal(size=4))
-            assert abs(t.vec @ p.vec4()) <= 1e-10
+        p = random_ambient_point(rng, 20)
+        t = tangent_projection(p, rng.normal(size=(20, 4)))
+        assert np.all(np.abs(np.sum(t * p, axis=-1)) <= 1e-10)
 
 
 class TestMetric:
     def test_round_metric_is_euclidean(self, rng):
         p1 = make_params(1.0)
-        for _ in range(10):
-            base = random_ambient_point(rng)
-            u = random_tangent(rng, base)
-            v = random_tangent(rng, base)
-            assert metric(p1, u, v) == pytest.approx(float(u.vec @ v.vec), abs=1e-14)
+        base = random_ambient_point(rng, 10)
+        u = random_tangent(rng, base)
+        v = random_tangent(rng, base)
+        assert metric(p1, base, u, v) == pytest.approx(np.sum(u * v, axis=-1), abs=1e-14)
 
     def test_fiber_norm_is_tau_squared(self, params, rng):
-        for _ in range(10):
-            V = fiber_direction(random_ambient_point(rng))
-            assert metric(params, V, V) == pytest.approx(
-                params.tau**2, abs=1e-12
-            )
+        p = random_ambient_point(rng, 10)
+        V = fiber_direction(p)
+        assert metric(params, p, V, V) == pytest.approx(np.full(10, params.tau**2), abs=1e-12)
 
     def test_unit_killing_field(self, params, rng):
         # xi = V / tau has unit length in the Berger metric
-        for _ in range(10):
-            p = random_ambient_point(rng)
-            V = fiber_direction(p)
-            xi = TangentVector(V.vec / params.tau, p)
-            assert abs(metric(params, xi, xi) - 1.0) <= 1e-12
+        p = random_ambient_point(rng, 10)
+        xi = fiber_direction(p) / params.tau
+        assert np.all(np.abs(metric(params, p, xi, xi) - 1.0) <= 1e-12)
 
     def test_orthogonal_to_fiber(self, params, rng):
-        for _ in range(10):
-            p = random_ambient_point(rng)
-            V = fiber_direction(p)
-            w = rng.normal(size=4)
-            w = tangent_projection(p, w - (w @ V.vec) * V.vec).vec
-            u = TangentVector(w, p)
-            assert abs(metric(params, u, V)) <= 1e-12
+        p = random_ambient_point(rng, 10)
+        V = fiber_direction(p)
+        w = rng.normal(size=(10, 4))
+        u = tangent_projection(p, w - np.sum(w * V, axis=-1, keepdims=True) * V)
+        assert np.all(np.abs(metric(params, p, u, V)) <= 1e-12)
 
     def test_bilinear_symmetric_positive(self, params, rng):
-        for _ in range(50):
-            p = random_ambient_point(rng)
-            u = random_tangent(rng, p)
-            v = random_tangent(rng, p)
-            a, b = rng.normal(size=2)
-            assert metric(params, u, v) == pytest.approx(
-                metric(params, v, u), abs=1e-14
-            )
-            lin = TangentVector(a * u.vec + b * v.vec, p)
-            assert metric(params, lin, v) == pytest.approx(
-                a * metric(params, u, v) + b * metric(params, v, v), abs=1e-12
-            )
-            if np.linalg.norm(u.vec) > 1e-8:
-                assert metric(params, u, u) > 0.0
+        p = random_ambient_point(rng, 50)
+        u = random_tangent(rng, p)
+        v = random_tangent(rng, p)
+        a, b = rng.normal(size=(2, 50, 1))
+        assert metric(params, p, u, v) == pytest.approx(metric(params, p, v, u), abs=1e-14)
+        assert metric(params, p, a * u + b * v, v) == pytest.approx(
+            a[:, 0] * metric(params, p, u, v) + b[:, 0] * metric(params, p, v, v), abs=1e-12
+        )
+        long = np.linalg.norm(u, axis=-1) > 1e-8
+        assert np.all(metric(params, p, u, u)[long] > 0.0)
 
-    def test_mismatched_base_points(self, rng):
+    def test_mismatched_base_points(self):
+        # one base array for both vectors: a vector from the tangent space of
+        # another point is refused where it is not tangent at the base
         p = make_params(0.75)
-        b1 = AmbientPoint(1.0 + 0j, 0j)
-        b2 = AmbientPoint(0j, 1.0 + 0j)
-        u = TangentVector(np.array([0.0, 1.0, 0.0, 0.0]), b1)
-        v = TangentVector(np.array([0.0, 0.0, 0.0, 1.0]), b2)
+        b1 = np.array([1.0, 0.0, 0.0, 0.0])
+        u = np.array([0.0, 1.0, 0.0, 0.0])  # tangent at b1
+        v = np.array([1.0, 0.0, 0.0, 0.0])  # tangent at (0, 0, 1, 0), not at b1
         with pytest.raises(DomainError):
-            metric(p, u, v)
+            metric(p, b1, u, v)
+
+    def test_batch_with_one_base_off_the_sphere(self, rng):
+        params = make_params(0.75)
+        p = random_ambient_point(rng, 8)
+        u = random_tangent(rng, p)
+        metric(params, p, u, u)  # fine
+        for bad in (1.0 + 1e-9, math.nan):
+            q = p.copy()
+            q[5] *= bad
+            with pytest.raises(DomainError, match="off the unit sphere"):
+                metric(params, q, u, u)
+
+    def test_batch_with_one_vector_not_tangent(self, rng):
+        params = make_params(0.75)
+        p = random_ambient_point(rng, 8)
+        u = random_tangent(rng, p)
+        w = u.copy()
+        w[3] += 1e-9 * p[3]  # <w, p> = 1e-9 on row 3 only
+        for args in ((w, u), (u, w)):
+            with pytest.raises(DomainError, match="not tangent"):
+                metric(params, p, *args)
 
 
 class TestHopf:
     def test_axis_point(self):
-        assert np.allclose(hopf_project(AmbientPoint(1.0 + 0j, 0j)), [0, 0, 0.5])
+        assert np.allclose(hopf_project([1.0, 0.0, 0.0, 0.0]), [0, 0, 0.5])
 
     def test_image_radius_exact_rational(self):
         # |z w_bar|^2 + (|z|^2 - |w|^2)^2 / 4 = 1/4, checked in exact arithmetic
@@ -165,17 +176,15 @@ class TestHopf:
             assert re * re + im * im + third * third == Fraction(1, 4)
 
     def test_image_radius_numeric(self, rng):
-        for _ in range(50):
-            p = random_ambient_point(rng)
-            assert np.linalg.norm(hopf_project(p)) == pytest.approx(0.5, abs=1e-12)
+        radii = np.linalg.norm(hopf_project(random_ambient_point(rng, 50)), axis=-1)
+        assert radii == pytest.approx(np.full(50, 0.5), abs=1e-12)
 
     def test_fiber_invariance(self, rng):
-        for _ in range(100):
-            p = random_ambient_point(rng)
-            th = rng.uniform(0, 2 * math.pi)
-            ph = complex(math.cos(th), math.sin(th))
-            q = AmbientPoint(ph * p.z, ph * p.w)
-            assert np.max(np.abs(hopf_project(p) - hopf_project(q))) <= 1e-12
+        # e^{i th} (z, w) = cos(th) (z, w) + sin(th) (iz, iw)
+        p = random_ambient_point(rng, 100)
+        th = rng.uniform(0, 2 * math.pi, size=(100, 1))
+        q = np.cos(th) * p + np.sin(th) * fiber_direction(p)
+        assert np.max(np.abs(hopf_project(p) - hopf_project(q))) <= 1e-12
 
 
 class TestSectionalCurvature:
@@ -215,8 +224,8 @@ class TestSectionalCurvature:
 @settings(max_examples=100, deadline=None)
 def test_metric_symmetry_property(tau, a, b):
     p = make_params(tau)
-    base = AmbientPoint(complex(3 / 13, 4 / 13), complex(12 / 13, 0))
+    base = np.array([3 / 13, 4 / 13, 12 / 13, 0.0])
     V = fiber_direction(base)
     u = tangent_projection(base, np.array([a, b, 1.0, 0.25]))
-    v = TangentVector(0.5 * u.vec + b * V.vec, base)
-    assert metric(p, u, v) == pytest.approx(metric(p, v, u), abs=1e-13)
+    v = 0.5 * u + b * V
+    assert metric(p, base, u, v) == pytest.approx(metric(p, base, v, u), abs=1e-13)

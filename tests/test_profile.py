@@ -308,32 +308,26 @@ class TestConstantSolutions:
 class TestFundamentalForm:
     def test_axis_and_pole_values(self):
         p = make_params(0.75)
-        onaxis = fundamental_form(p, 3.0, ProfileState(0.0, 0.0, 0.0, 0.0), 1.0, 0.3)
-        assert onaxis.G == 0.0
-        atpole = fundamental_form(
-            p, 3.0, ProfileState(0.0, math.pi / 2, 0.0, 0.0), 0.7, 0.0
-        )
-        assert atpole.E == pytest.approx(0.49, abs=1e-12)
+        _, _, G = fundamental_form(p, 0.0, 1.0, 0.3)
+        assert G == 0.0  # on the axis
+        E, _, _ = fundamental_form(p, math.pi / 2, 0.7, 0.0)
+        assert E == pytest.approx(0.49, abs=1e-12)
 
     def test_identity_along_unit_speed_trajectory(self):
         p = make_params(0.75)
         traj = integrate(p, 3.0, axis_seed(p, 3.0), s_max=1.5, n_samples=301)
-        for st in traj.states[1:-1:10]:
-            xp = math.cos(st.alpha)
-            yp = (
-                math.sqrt(1 - p.lam * math.sin(st.x) ** 2)
-                / (p.tau * math.cos(st.x))
-                * math.sin(st.alpha)
-            )
-            ff = fundamental_form(p, 3.0, st, xp, yp)
-            assert ff.E * ff.G - ff.F**2 == pytest.approx(ff.G, abs=1e-10)
+        x, a = traj.x[1:-1:10], traj.alpha[1:-1:10]
+        xp = np.cos(a)
+        yp = np.sqrt(1 - p.lam * np.sin(x) ** 2) / (p.tau * np.cos(x)) * np.sin(a)
+        E, F, G = fundamental_form(p, x, xp, yp)
+        assert np.all(np.abs(E * G - F**2 - G) <= 1e-10)
 
     def test_embedding_on_sphere_and_axis(self):
-        p = make_params(0.75)
-        pt = embedding(p, ProfileState(0.0, 0.0, 1.2, 0.0), 0.7)
-        assert pt.w == 0  # on the axis of revolution
-        pt2 = embedding(p, ProfileState(0.0, 0.6, -0.4, 0.0), 2.0)
-        assert abs(abs(pt2.z) ** 2 + abs(pt2.w) ** 2 - 1) <= 1e-15
+        pt = embedding(0.0, 1.2, 0.7)
+        assert pt.shape == (4,) and np.all(pt[2:] == 0.0)  # w = 0 on the axis
+        pts = embedding(np.array([[0.6], [1.1]]), -0.4, np.array([2.0, 5.0, 0.1]))
+        assert pts.shape == (2, 3, 4)
+        assert np.all(np.abs(np.sum(pts * pts, axis=-1) - 1) <= 1e-15)
 
     def test_forms_match_finite_differences_of_embedding(self, rng):
         # central differences of Phi against the closed-form E, F, G
@@ -343,28 +337,23 @@ class TestFundamentalForm:
         s, x, y, a = traj.arrays()
         spl_x, spl_y = CubicSpline(s, x), CubicSpline(s, y)
         h = 1e-5
-        for _ in range(100):
-            si = rng.uniform(s[0] + 0.05, s[-1] - 0.05)
-            t = rng.uniform(0, 2 * math.pi)
-            st = ProfileState(si, float(spl_x(si)), float(spl_y(si)), 0.0)
-            xp = float(spl_x(si, 1))
-            yp = float(spl_y(si, 1))
-            ff = fundamental_form(p, K, st, xp, yp)
+        # 100 samples (s_i, t_i), drawn in the order of one uniform(s) and one
+        # uniform(t) per sample
+        lo, hi = s[0] + 0.05, s[-1] - 0.05
+        si, t = (np.array([lo, 0.0]) + np.array([hi - lo, 2 * math.pi])
+                 * rng.uniform(size=(100, 2))).T
+        E, F, G = fundamental_form(p, spl_x(si), spl_x(si, 1), spl_y(si, 1))
 
-            def phi(sv, tv):
-                return embedding(
-                    p, ProfileState(sv, float(spl_x(sv)), float(spl_y(sv)), 0.0), tv
-                )
+        def phi(sv, tv):
+            return embedding(spl_x(sv), spl_y(sv), tv)
 
-            base = phi(si, t)
-            ds_vec = (phi(si + h, t).vec4() - phi(si - h, t).vec4()) / (2 * h)
-            dt_vec = (phi(si, t + h).vec4() - phi(si, t - h).vec4()) / (2 * h)
-            u = tangent_projection(base, ds_vec)
-            v = tangent_projection(base, dt_vec)
-            scale = max(1.0, abs(ff.E), abs(ff.F), abs(ff.G))
-            assert abs(metric(p, u, u) - ff.E) <= 1e-6 * scale
-            assert abs(metric(p, u, v) - ff.F) <= 1e-6 * scale
-            assert abs(metric(p, v, v) - ff.G) <= 1e-6 * scale
+        base = phi(si, t)
+        u = tangent_projection(base, (phi(si + h, t) - phi(si - h, t)) / (2 * h))
+        v = tangent_projection(base, (phi(si, t + h) - phi(si, t - h)) / (2 * h))
+        scale = np.max(np.abs([np.ones_like(E), E, F, G]), axis=0)
+        assert np.all(np.abs(metric(p, base, u, u) - E) <= 1e-6 * scale)
+        assert np.all(np.abs(metric(p, base, u, v) - F) <= 1e-6 * scale)
+        assert np.all(np.abs(metric(p, base, v, v) - G) <= 1e-6 * scale)
 
 
 class TestFrobenius:

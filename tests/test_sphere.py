@@ -14,7 +14,9 @@ from berger_cgc import (
     build_mesh,
     build_sphere,
     build_torus_mesh,
+    clifford_solution,
     embeddedness_boundary,
+    embedding,
     horizontal_radius,
     is_embedded,
     make_params,
@@ -332,6 +334,23 @@ class TestMeshes:
         mesh = build_mesh(build_sphere(make_params(0.75), 3.0, samples=128), n_t=16)
         assert mesh.vertices.shape == (mesh.n_s * 16 + 2, 4)
         assert mesh.triangles.shape == (2 * mesh.n_s * 16, 3)
+
+    def test_vertices_are_the_embedding_of_their_samples(self):
+        # bit for bit: one formula home for (e^{iy} cos x, e^{it} sin x)
+        sol = build_sphere(make_params(0.75), 3.0, samples=128)
+        mesh = build_mesh(sol, n_t=16)
+        x, y = sol.profile.x, sol.profile.y
+        inner = np.sin(x) > 1e-9
+        t = np.arange(16) * (2.0 * math.pi / 16)
+        assert np.array_equal(mesh.vertices[:2], embedding(0.0, y[[0, -1]], 0.0))
+        rings = embedding(x[inner][:, None], y[inner][:, None], t)
+        assert np.array_equal(mesh.vertices[2:], rings.reshape(-1, 4))
+        p = make_params(0.75)
+        torus = build_torus_mesh(p, 0.6, n_s=24, n_t=12)
+        traj = clifford_solution(p, 0.6, n_samples=25)  # the last sample repeats the first
+        t = np.arange(12) * (2.0 * math.pi / 12)
+        rings = embedding(traj.x[:-1, None], traj.y[:-1, None], t)
+        assert np.array_equal(torus.vertices, rings.reshape(-1, 4))
 
     def test_sphere_mesh_needs_three_rings(self):
         sol = build_sphere(make_params(0.75), 3.0, samples=128)
