@@ -42,7 +42,6 @@ from .phase import (
     trace_level_curve,
 )
 from .profile import (
-    ProfileState,
     Trajectory,
     apply_symmetry,
     axis_seed,

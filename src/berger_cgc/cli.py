@@ -36,6 +36,15 @@ EXIT_CONFIG = 2
 EXIT_NO_SPHERE = 3
 EXIT_ACCURACY = 4
 
+#: bisection steps that place a level crossing on a scan segment
+BISECT_ITERS = 80
+#: scan points per rectangle edge (and the Y = 0 axis) when seeding contours
+SEED_SCAN = 800
+#: SVG width in pixels, and height unless the aspect ratio is kept
+SVG_SIZE = 600
+#: largest energy drift a sphere profile may carry into the outputs
+PROFILE_ENERGY_TOL = 1e-8
+
 
 def _write_csv(path, header, rows, row_format=None):
     """Write ``rows`` (tuples) through one %-format per row.
@@ -77,15 +86,13 @@ def _slug(v: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _svg(path, polylines, x_range, y_range, size=600, equal_aspect=False):
+def _svg(path, polylines, x_range, y_range, equal_aspect=False):
     """polylines: list of ((N, 2) points, stroke_width); maps data box to pixels."""
     x0, x1 = x_range
     y0, y1 = y_range
-    w = size
+    w = h = SVG_SIZE
     if equal_aspect:
-        h = int(round(size * (y1 - y0) / (x1 - x0))) or size
-    else:
-        h = size
+        h = int(round(SVG_SIZE * (y1 - y0) / (x1 - x0))) or SVG_SIZE
 
     with open(path, "w", newline="\n") as f:
         f.write(
@@ -136,8 +143,8 @@ def cmd_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_on_segment(f, a, b, fa, iters=80):
-    for _ in range(iters):
+def _bisect_on_segment(f, a, b, fa):
+    for _ in range(BISECT_ITERS):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
@@ -149,10 +156,10 @@ def _bisect_on_segment(f, a, b, fa, iters=80):
     return 0.5 * (a + b)
 
 
-def _seeds_for_level(params, K, level, n_scan=800):
+def _seeds_for_level(params, K, level):
     """Level crossings (X, Y) along the rectangle edges and the Y = 0 axis."""
     seeds = []
-    t = np.linspace(0.0, 1.0, n_scan)
+    t = np.linspace(0.0, 1.0, SEED_SCAN)
 
     def scan(pts_x, pts_y, make_point):
         F = phase.energy_values(params, K, pts_x, pts_y) - level
@@ -216,7 +223,7 @@ def _phase_cell(tau, K, n, levels):
         lo, hi = float(F.min()), float(F.max())
         levels = sorted(set(np.round(np.linspace(lo, hi, 13)[1:-1], 6)) | {1.0})
     polylines = _contour_polylines(p, K, levels)
-    return verdict, p.k0, X, Y, F, polylines
+    return verdict, p.k0, X, Y, F, levels, polylines
 
 
 def cmd_phase(args) -> int:
@@ -224,11 +231,15 @@ def cmd_phase(args) -> int:
     ks = _values(args, "k")
     # every cell before any output: a bad tau or K exits 2 having written nothing
     cells = [(tau, K, *_phase_cell(tau, K, args.grid, args.levels)) for tau in taus for K in ks]
-    for tau, K, verdict, k0, X, Y, F, polylines in cells:
+    for tau, K, verdict, k0, X, Y, F, levels, polylines in cells:
         print(
             f"tau={_num(tau)} K={_num(K)}: K0={k0:g}, level-1 connects "
             f"(closed form): {verdict}"
         )
+        traced = {level for level, _ in polylines}
+        for level in (lv for lv in levels if lv not in traced):
+            print(f"tau={_num(tau)} K={_num(K)}: no curve traced at level {_num(level)} "
+                  f"(F on the grid spans [{F.min():.6g}, {F.max():.6g}])", file=sys.stderr)
         if not args.out:
             continue
         tag = f"tau{_slug(tau)}_K{_slug(K)}"
@@ -268,12 +279,11 @@ def cmd_phase(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_profile_energy(sol, tol=1e-8):
+def _check_profile_energy(sol):
     drift = sol.profile.max_energy_drift
-    if drift > tol:
-        raise AccuracyError(
-            f"profile energy drift {drift!r} exceeds {tol!r}", achieved=drift
-        )
+    if drift > PROFILE_ENERGY_TOL:
+        raise AccuracyError(f"profile energy drift {drift!r} exceeds {PROFILE_ENERGY_TOL!r}",
+                            achieved=drift)
 
 
 def cmd_sphere(args) -> int:

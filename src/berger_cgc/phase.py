@@ -43,6 +43,8 @@ GRAD_TOL = 1e-12
 #: tracer steps: the first, the cap it grows back to, the floor under which a
 #: failed corrector aborts, and how many a trace may take before it is returned
 FIRST_STEP, MAX_STEP, MIN_STEP, MAX_STEPS = 1e-3, 4e-3, 1e-8, 50000
+#: Newton steps of one corrector projection onto the level set
+CORRECT_MAX_ITER = 12
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,9 @@ def _inside(X: float, Y: float) -> bool:
     return -SNAP_TOL <= X <= 1.0 + SNAP_TOL and -1.0 - SNAP_TOL <= Y <= 1.0 + SNAP_TOL
 
 
-def _correct(lam, K, level, X, Y, max_iter=12):
+def _correct(lam, K, level, X, Y):
     """Newton-project (X, Y) onto the level set.  Returns None on failure."""
-    for _ in range(max_iter):
+    for _ in range(CORRECT_MAX_ITER):
         F, fx, fy = _f_and_grad(lam, K, X, Y)
         resid = F - level
         if abs(resid) <= TRACE_TOL:

@@ -36,7 +36,6 @@ from .errors import DomainError, SingularityError
 from .geometry import BergerParams
 
 __all__ = [
-    "ProfileState",
     "Trajectory",
     "rhs",
     "alpha_bracket",
@@ -71,22 +70,16 @@ def __getattr__(name):
     return solve_ivp
 
 
-@dataclass(frozen=True)
-class ProfileState:
-    """(s, x, y, alpha): arc parameter and profile-curve coordinates of one
-    state, as taken by :func:`rhs` and :func:`integrate`."""
-
-    s: float
-    x: float
-    y: float
-    alpha: float
-
-    def __post_init__(self):
-        for name in ("s", "x", "y", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"non-finite profile state component {name}")
-        if math.sin(self.x) < -1e-12:
-            raise DomainError(f"profile requires sin x >= 0, got x = {self.x!r}")
+def _check_state(components):
+    """Reject a non-finite value in ``components`` (name -> float or array) and
+    sin x < -1e-12."""
+    for name, value in components.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"non-finite profile state component {name}")
+    x = np.atleast_1d(components["x"])
+    below = x[np.sin(x) < -1e-12]
+    if below.size:
+        raise DomainError(f"profile requires sin x >= 0, got x = {float(below[0])!r}")
 
 
 def energy(params: BergerParams, K: float, x, alpha):
@@ -102,11 +95,12 @@ def energy(params: BergerParams, K: float, x, alpha):
 class Trajectory:
     """An ordered solution of the profile system with energy bookkeeping.
 
-    The samples are read-only float arrays ``s``, ``x``, ``y``, ``alpha``
-    and ``energy_drifts`` (|E_i - energy0| per sample), with ``s`` strictly
-    increasing.  ``max_energy_drift`` is their maximum; for integrated
-    trajectories it must stay within the integrator's tolerance budget
-    (100 x rtol by default).
+    The samples are read-only float arrays ``s``, ``x``, ``y`` and ``alpha``,
+    with ``s`` strictly increasing.  The bookkeeping is derived from them:
+    ``energy0`` is the energy of the first sample, ``energy_drifts`` the
+    read-only |E_i - energy0| per sample and ``max_energy_drift`` their
+    maximum; for integrated trajectories it must stay within the
+    integrator's tolerance budget (100 x rtol by default).
     """
 
     params: BergerParams
@@ -115,57 +109,42 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     alpha: np.ndarray
-    energy0: float
-    max_energy_drift: float
     termination: str
-    energy_drifts: np.ndarray = field(repr=False)
+    energy0: float = field(init=False)
+    max_energy_drift: float = field(init=False)
+    energy_drifts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise DomainError(f"unknown termination {self.termination!r}")
-        for name in ("s", "x", "y", "alpha", "energy_drifts"):
+        for name in ("s", "x", "y", "alpha"):
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        for name in ("s", "x", "y", "alpha"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DomainError(f"non-finite profile state component {name}")
-        below = np.sin(self.x) < -1e-12
-        if np.any(below):
-            bad = float(self.x[below][0])
-            raise DomainError(f"profile requires sin x >= 0, got x = {bad!r}")
+        _check_state(dict(s=self.s, x=self.x, y=self.y, alpha=self.alpha))
+        if not (self.s.ndim == 1 and self.s.size
+                and self.x.shape == self.y.shape == self.alpha.shape == self.s.shape):
+            raise DomainError("trajectory samples must be 1-d arrays of one nonzero length")
         if not np.all(np.diff(self.s) > 0):
             raise DomainError("trajectory states must be strictly increasing in s")
+        e = energy(self.params, self.K, self.x, self.alpha)
+        drifts = np.abs(e - e[0])
+        drifts.setflags(write=False)
+        object.__setattr__(self, "energy0", float(e[0]))
+        object.__setattr__(self, "max_energy_drift", float(drifts.max()))
+        object.__setattr__(self, "energy_drifts", drifts)
 
     def arrays(self):
         """(s, x, y, alpha)."""
         return self.s, self.x, self.y, self.alpha
 
     @property
-    def states(self) -> tuple:
-        """The samples as ProfileState values, built from the arrays."""
-        return tuple(
-            map(ProfileState, self.s.tolist(), self.x.tolist(), self.y.tolist(),
-                self.alpha.tolist())
-        )
-
-
-def _make_trajectory(params, K, s, x, y, alpha, termination) -> Trajectory:
-    e = energy(params, K, np.asarray(x, float), np.asarray(alpha, float))
-    e0 = float(e[0])
-    drifts = np.abs(e - e0)
-    return Trajectory(
-        params=params,
-        K=K,
-        s=s,
-        x=x,
-        y=y,
-        alpha=alpha,
-        energy0=e0,
-        max_energy_drift=float(drifts.max()),
-        termination=termination,
-        energy_drifts=drifts,
-    )
+    def states(self) -> np.ndarray:
+        """The samples as a read-only (N, 4) array of (s, x, y, alpha) rows,
+        each of which :func:`integrate` takes as ``init``."""
+        out = np.column_stack(self.arrays())
+        out.setflags(write=False)
+        return out
 
 
 def _bracket(lam, K, sx, cx, ca):
@@ -199,17 +178,19 @@ def alpha_bracket(params: BergerParams, K: float, x: float, alpha: float) -> flo
 def rhs(
     params: BergerParams,
     K: float,
-    state: ProfileState,
+    x: float,
+    alpha: float,
     *,
     singular_tol: float = SINGULAR_TOL,
 ):
-    """(dx, dy, dalpha) of the profile system at ``state``.
+    """(dx, dy, dalpha) of the profile system at (x, alpha).
 
     Raises SingularityError naming the offending factor when |sin alpha|,
     |cos x| or |1 - 2 lam sin^2 x| is under ``singular_tol``.
     """
-    sx, cx = math.sin(state.x), math.cos(state.x)
-    sa = math.sin(state.alpha)
+    _check_state(dict(x=x, alpha=alpha))
+    sx, cx = math.sin(x), math.cos(x)
+    sa = math.sin(alpha)
     if abs(sa) < singular_tol:
         raise SingularityError("sin(alpha)", "rhs is singular where sin(alpha) = 0")
     if abs(cx) < singular_tol:
@@ -218,11 +199,12 @@ def rhs(
         raise SingularityError(
             "1 - 2*lam*sin(x)^2", "rhs is singular on 1 - 2 lam sin^2 x = 0"
         )
-    return _rhs_terms(params, K, sx, cx, sa, math.cos(state.alpha), math.sqrt)
+    return _rhs_terms(params, K, sx, cx, sa, math.cos(alpha), math.sqrt)
 
 
-def axis_seed(params: BergerParams, K: float) -> ProfileState:
-    """Launch state just off the axis for a sphere-profile integration.
+def axis_seed(params: BergerParams, K: float) -> tuple:
+    """Launch state (s, x, y, alpha) just off the axis for a sphere-profile
+    integration.
 
     The system is singular on the axis itself; balancing the alpha equation
     near (x, alpha) = (0, 0) gives the asymptotic departure
@@ -237,20 +219,21 @@ def axis_seed(params: BergerParams, K: float) -> ProfileState:
             "axis seed undefined: it requires K > 4 - 3 tau^2 "
             f"(got K = {K!r}, threshold {3.0 * params.lam + 1.0!r})"
         )
-    return ProfileState(0.0, AXIS_SEED_X, 0.0, math.sqrt(c2) * AXIS_SEED_X)
+    return 0.0, AXIS_SEED_X, 0.0, math.sqrt(c2) * AXIS_SEED_X
 
 
 def integrate(
     params: BergerParams,
     K: float,
-    init: ProfileState,
+    init,
     *,
     s_max: float,
     n_samples: int = 513,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the profile system forward from ``init`` over at most s_max.
+    """Integrate the profile system forward from ``init``, an (s, x, y, alpha)
+    sequence, over at most s_max.
 
     Dormand-Prince 8(5,3) with dense output; terminal events stop the run
     at sin x <= EPS_AXIS, sin x >= 1 - EPS_POLE or |sin alpha| <= EPS_SING
@@ -259,7 +242,12 @@ def integrate(
     """
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
-    rhs(params, K, init, singular_tol=1e-13)  # init must be off the singular loci
+    try:
+        s0, x0, y0, a0 = map(float, init)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"init must be an (s, x, y, alpha) sequence, got {init!r}") from exc
+    _check_state(dict(s=s0, x=x0, y=y0, alpha=a0))
+    rhs(params, K, x0, a0, singular_tol=1e-13)  # init must be off the singular loci
 
     def fun(s, v):  # the rhs without singularity guards
         x, a = v[0], v[2]
@@ -285,8 +273,8 @@ def integrate(
     solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
     sol = solve_ivp(
         fun,
-        (init.s, init.s + s_max),
-        [init.x, init.y, init.alpha],
+        (s0, s0 + s_max),
+        [x0, y0, a0],
         method="DOP853",
         dense_output=True,
         events=(ev_axis, ev_pole, ev_sing),
@@ -299,9 +287,7 @@ def integrate(
         if n >= 2:
             ss = np.linspace(sol.t[0], sol.t[-1], min(n_samples, max(2, n)))
             vv = sol.sol(ss)
-            partial = _make_trajectory(
-                params, K, ss, vv[0], vv[1], vv[2], "step_limit"
-            )
+            partial = Trajectory(params, K, ss, vv[0], vv[1], vv[2], "step_limit")
         raise SingularityError(
             "step-size underflow", f"integrator failed: {sol.message}", partial=partial
         )
@@ -315,11 +301,11 @@ def integrate(
         ]
         s_end, termination = min(hit)
     else:
-        s_end, termination = init.s + s_max, "step_limit"
+        s_end, termination = s0 + s_max, "step_limit"
 
-    ss = np.linspace(init.s, s_end, n_samples)
+    ss = np.linspace(s0, s_end, n_samples)
     vv = sol.sol(ss)
-    return _make_trajectory(params, K, ss, vv[0], vv[1], vv[2], termination)
+    return Trajectory(params, K, ss, vv[0], vv[1], vv[2], termination)
 
 
 # ---------------------------------------------------------------------------
@@ -355,41 +341,29 @@ def apply_symmetry(
     if sym == "y_translate":
         if y0 is None:
             raise DomainError("y_translate requires y0")
-        return _make_trajectory(traj.params, traj.K, s, x, y + y0, a, traj.termination)
-    if sym == "alpha_shift":
+        y = y + y0
+    elif sym == "alpha_shift":
         if k is None or int(k) != k:
             raise DomainError("alpha_shift requires integer k")
-        return _make_trajectory(
-            traj.params, traj.K, s, x, y, a + 2.0 * math.pi * int(k), traj.termination
-        )
-    if sym == "reverse":
+        a = a + 2.0 * math.pi * int(k)
+    elif sym == "reverse":
         if s0 is None:
             raise DomainError("reverse requires s0")
-        return _make_trajectory(
-            traj.params,
-            traj.K,
-            (2.0 * s0 - s)[::-1],
-            x[::-1],
-            y[::-1],
-            (a + math.pi)[::-1],
-            traj.termination,
-        )
-    if sym == "reflect":
+        s, x, y, a = (2.0 * s0 - s)[::-1], x[::-1], y[::-1], (a + math.pi)[::-1]
+    elif sym == "reflect":
         if y0 is None:
             raise DomainError("reflect requires y0")
-        return _make_trajectory(
-            traj.params, traj.K, s, x, 2.0 * y0 - y, -a, traj.termination
-        )
-    if sym == "pole_continue":
+        y, a = 2.0 * y0 - y, -a
+    elif sym == "pole_continue":
         if math.sin(traj.x[-1]) < 1.0 - 10.0 * EPS_POLE:
             raise DomainError(
                 "pole_continue requires the terminal state at the pole "
                 f"(sin x = {math.sin(traj.x[-1])!r})"
             )
-        return _make_trajectory(
-            traj.params, traj.K, s, x, y + math.pi, a, traj.termination
-        )
-    raise DomainError(f"unknown symmetry {sym!r}; expected one of {SYMMETRIES}")
+        y = y + math.pi
+    else:
+        raise DomainError(f"unknown symmetry {sym!r}; expected one of {SYMMETRIES}")
+    return Trajectory(traj.params, traj.K, s, x, y, a, traj.termination)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +397,7 @@ def clifford_solution(
     x = np.full_like(s, x0)
     y = rate * s
     a = np.full_like(s, half_pi)
-    return _make_trajectory(params, 0.0, s, x, y, a, "step_limit")
+    return Trajectory(params, 0.0, s, x, y, a, "step_limit")
 
 
 def geodesic_sphere_solution(
@@ -440,9 +414,7 @@ def geodesic_sphere_solution(
     if abs(params.lam) > 1e-14:
         raise DomainError("the totally geodesic sphere solution requires tau = 1")
     s = np.linspace(1e-6, s_max, n_samples)
-    return _make_trajectory(
-        params, 1.0, s, s, np.full_like(s, y0), np.zeros_like(s), "step_limit"
-    )
+    return Trajectory(params, 1.0, s, s, np.full_like(s, y0), np.zeros_like(s), "step_limit")
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,14 @@ __all__ = ["tanhsinh", "CumulativeGauss"]
 _PI_2 = math.pi / 2.0
 #: Gauss-Legendre nodes per CumulativeGauss panel
 GAUSS_NODES = 16
+#: absolute error target of tanhsinh, met when two successive halvings agree
+TANHSINH_ATOL = 1e-10
+#: last halving level of tanhsinh before it gives up
+TANHSINH_MAX_LEVEL = 12
 
 
-def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12):
-    """Integrate ``f`` over [a, b] by the double-exponential rule.
+def tanhsinh(f, a: float, b: float):
+    """Integrate ``f`` over [a, b] by the double-exponential rule, to TANHSINH_ATOL.
 
     Parameters
     ----------
@@ -42,9 +46,6 @@ def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12)
         Integrands with endpoint singularities should be written in terms of
         the distance arguments.
     a, b : interval endpoints, a < b.
-    atol : absolute error target; convergence is declared when two
-        successive mesh halvings agree to ``atol``.
-    max_level : last halving level before giving up.
 
     Returns
     -------
@@ -53,7 +54,7 @@ def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12)
     Raises
     ------
     AccuracyError
-        If level doubling has not converged at ``max_level``; the best
+        If level doubling has not converged at TANHSINH_MAX_LEVEL; the best
         value and its error estimate ride on the exception.
     """
     if not (b > a):
@@ -68,7 +69,7 @@ def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12)
     prev = None
     est = math.nan
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(TANHSINH_MAX_LEVEL + 1):
         h = 1.0 / (1 << level)
         if level == 0:
             t = np.arange(0, int(t_max / h) + 1) * h
@@ -86,11 +87,11 @@ def tanhsinh(f, a: float, b: float, *, atol: float = 1e-10, max_level: int = 12)
         est = raw_sum * h
         if prev is not None:
             err = abs(est - prev)
-            if err <= atol:
+            if err <= TANHSINH_ATOL:
                 return est, err
         prev = est
     raise AccuracyError(
-        f"tanh-sinh did not reach atol={atol!r} at level {max_level}",
+        f"tanh-sinh did not reach atol={TANHSINH_ATOL!r} at level {TANHSINH_MAX_LEVEL}",
         achieved=est,
         error=err,
     )

@@ -37,7 +37,7 @@ from .errors import (
 # AmbientPoint is not called here; bench/tracing.py counts vertex objects
 # by patching this binding and expects the count to stay 0
 from .geometry import AmbientPoint, BergerParams, check_unit_norm, embedding  # noqa: F401
-from .profile import Trajectory, _make_trajectory, clifford_solution
+from .profile import Trajectory, clifford_solution
 from .quadrature import CumulativeGauss, tanhsinh
 
 __all__ = [
@@ -181,21 +181,21 @@ def _h_integrand(params: BergerParams, K: float):
     return f, fac.r
 
 
-def vertical_radius(params: BergerParams, K: float, *, atol: float = 1e-10) -> float:
+def vertical_radius(params: BergerParams, K: float) -> float:
     """Vertical radius h: the fiber-direction half-extent of the sphere,
 
         h = (1/tau) int_0^r sqrt(cos^2 x (1-2 lam s^2)^2
               - (1 - lam s^2)(1 - K (1 - lam s^2) s^2))
             / (cos x sqrt(1 - K (1 - lam s^2) s^2)) dx,   s = sin x,
 
-    by tanh-sinh quadrature (the integrand has an inverse-square-root
-    singularity at x = r).  At the degenerate threshold K = k0 with
-    tau > 1 the profile reaches the pole and h diverges logarithmically;
-    that case raises AccuracyError up front.
+    by tanh-sinh quadrature to quadrature.TANHSINH_ATOL (the integrand has
+    an inverse-square-root singularity at x = r).  At the degenerate
+    threshold K = k0 with tau > 1 the profile reaches the pole and h
+    diverges logarithmically; that case raises AccuracyError up front.
     """
     _check_h_finite(params, K)
     f, r = _h_integrand(params, K)
-    value, _ = tanhsinh(f, 0.0, r, atol=atol)
+    value, _ = tanhsinh(f, 0.0, r)
     return value
 
 
@@ -394,7 +394,7 @@ def build_sphere(
     y = np.concatenate([y_half, -y_half[-2::-1]])
     alpha = np.concatenate([alpha_half, math.pi - alpha_half[-2::-1]])
 
-    profile = _make_trajectory(params, K, s, x, y, alpha, "boundary_axis")
+    profile = Trajectory(params, K, s, x, y, alpha, "boundary_axis")
     return SphereSolution(
         params=params,
         K=K,

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from berger_cgc import integrate, make_params
-from berger_cgc.profile import ProfileState
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -49,7 +48,7 @@ def pole_traj():
     u = math.sin(x0) ** 2
     c2 = ((2.0 - K * (1 - p.lam * u) * u) * (1 - p.lam * u)
           / ((1 - 2 * p.lam * u) ** 2 * math.cos(x0) ** 2))
-    return integrate(p, K, ProfileState(0.0, x0, 0.0, math.acos(math.sqrt(c2))), s_max=5.0)
+    return integrate(p, K, (0.0, x0, 0.0, math.acos(math.sqrt(c2))), s_max=5.0)
 
 
 def random_ambient_point(rng, n=None):

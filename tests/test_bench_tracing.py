@@ -57,6 +57,8 @@ def test_install_counts_and_restore(tmp_path, capsys):
     layers = tracing.summarize(tracer, 2)
     assert layers["phase.trace_level_curve.points"] > 0
     assert layers["sphere.build_mesh.vertices"] > 0
+    # the one traced profile, of build_sphere: len(Trajectory.states) is its sample count
+    assert tracer.counts["profile.states"] == 65
 
 
 # installs the tracer before scipy is loaded, integrates one short sphere

@@ -228,6 +228,23 @@ class TestPhaseCommand:
     def test_grid_validation(self):
         assert cli.main(["phase", "--tau", "0.75", "--k", "3", "--grid", "1"]) == cli.EXIT_CONFIG
 
+    def test_levels_that_trace_no_curve_are_reported(self, tmp_path, capsys):
+        # one stderr line per (cell, level) with no curve; the run still
+        # succeeds and writes the same files, the traced level included
+        rc = cli.main(["phase", "--tau", "0.75", "--k", "3", "--k", "4", "--grid", "3",
+                       "--levels", "1e308,1,-5", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"tau=0.75 K={K}: no curve traced at level {level} (F on the grid spans [0, {hi}])"
+            for K, hi in (("3", "1.6875"), ("4", "2.25")) for level in ("1e+308", "-5")
+        ]
+        for K in ("3", "4"):
+            _, rows = read_csv(tmp_path / f"contours_tau0p75_K{K}.csv")
+            assert {float(r[0]) for r in rows} == {1.0}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{kind}_tau0p75_K{K}.csv" for kind in ("contours", "phase_grid") for K in ("3", "4")]
+
     def test_level_one_polyline_connects_corners(self, tmp_path):
         cli.main([
             "phase", "--tau", "2", "--k", "0.3", "--grid", "41",
@@ -425,7 +442,7 @@ class TestVerifyCommand:
             *a, spacing=spacing and 100 * spacing, **kw)),
         # reflect forgets to negate alpha
         ("symmetry", profile, "apply_symmetry", lambda f: lambda t, sym, **kw: f(t, sym, **kw)
-         if sym != "reflect" else profile._make_trajectory(
+         if sym != "reflect" else profile.Trajectory(
              t.params, t.K, t.s, t.x, 2 * kw["y0"] - t.y, t.alpha, t.termination)),
         # the quadrature h is 1e-6 off
         ("route_equivalence", sphere, "vertical_radius", lambda f: lambda *a: f(*a) + 1e-6),

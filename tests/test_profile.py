@@ -6,7 +6,6 @@ from scipy.interpolate import CubicSpline
 
 from berger_cgc import (
     DomainError,
-    ProfileState,
     SingularityError,
     apply_symmetry,
     axis_seed,
@@ -20,8 +19,9 @@ from berger_cgc import (
 )
 from berger_cgc.geometry import metric, tangent_projection
 from berger_cgc.profile import (
-    _make_trajectory,
+    Trajectory,
     alpha_bracket,
+    energy,
     geodesic_sphere_solution,
     rhs_residual,
 )
@@ -50,7 +50,7 @@ class TestRhs:
     def test_clifford_fixed_point(self):
         p = make_params(0.8)
         x0 = 0.7
-        dx, dy, da = rhs(p, 0.0, ProfileState(0.0, x0, 1.0, math.pi / 2))
+        dx, dy, da = rhs(p, 0.0, x0, math.pi / 2)
         rate = math.sqrt(1 - p.lam * math.sin(x0) ** 2) / (p.tau * math.cos(x0))
         assert abs(dx) <= 1e-16
         assert dy == pytest.approx(rate, rel=1e-15)
@@ -62,7 +62,7 @@ class TestRhs:
             x = rng.uniform(0.05, 1.5)
             a = rng.uniform(0.1, math.pi - 0.1)
             K = rng.uniform(0.5, 5.0)
-            got = rhs(p, K, ProfileState(0.0, x, 0.0, a))
+            got = rhs(p, K, x, a)
             want = round_sphere_rhs(K, x, a)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
@@ -77,7 +77,7 @@ class TestRhs:
             if abs(1 - 2 * p.lam * math.sin(x) ** 2) < 1e-3:
                 continue
             # dalpha * sin(alpha) * cot(x) recovers the bracket
-            _, _, da = rhs(p, K, ProfileState(0.0, x, 0.0, a))
+            _, _, da = rhs(p, K, x, a)
             lhs = da * math.sin(a) * math.cos(x) / math.sin(x)
             want = bracket_oracle(p, K, x, a)
             assert lhs == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -85,15 +85,24 @@ class TestRhs:
                 want, rel=1e-12, abs=1e-12
             )
 
+    def test_rejects_non_finite_or_negative_sin_x(self):
+        p = make_params(0.75)
+        with pytest.raises(DomainError, match="component x"):
+            rhs(p, 3.0, math.nan, 1.0)
+        with pytest.raises(DomainError, match="component alpha"):
+            rhs(p, 3.0, 0.4, math.nan)
+        with pytest.raises(DomainError, match="sin x >= 0"):
+            rhs(p, 3.0, -0.4, 1.0)
+
     def test_singularity_guards(self):
         p = make_params(0.5)  # lam = 3/4: the ring 1 - 2 lam sin^2 x = 0 exists
         with pytest.raises(SingularityError, match="sin\\(alpha\\)"):
-            rhs(p, 1.0, ProfileState(0.0, 0.5, 0.0, 1e-9))
+            rhs(p, 1.0, 0.5, 1e-9)
         with pytest.raises(SingularityError, match="cos\\(x\\)"):
-            rhs(p, 1.0, ProfileState(0.0, math.pi / 2 - 1e-10, 0.0, 1.0))
+            rhs(p, 1.0, math.pi / 2 - 1e-10, 1.0)
         x_ring = math.asin(math.sqrt(1.0 / (2.0 * p.lam)))
         with pytest.raises(SingularityError, match="2 lam sin"):
-            rhs(p, 1.0, ProfileState(0.0, x_ring, 0.0, 1.0))
+            rhs(p, 1.0, x_ring, 1.0)
 
 
 class TestIntegrate:
@@ -101,7 +110,7 @@ class TestIntegrate:
         p = make_params(0.8)
         x0 = 0.7
         traj = integrate(
-            p, 0.0, ProfileState(0.0, x0, 0.0, math.pi / 2), s_max=100.0
+            p, 0.0, (0.0, x0, 0.0, math.pi / 2), s_max=100.0
         )
         assert traj.termination == "step_limit"
         _, x, _, a = traj.arrays()
@@ -121,7 +130,7 @@ class TestIntegrate:
         assert traj.termination in ("boundary_axis", "singular_alpha")
         assert math.sin(x[-1]) <= 2e-4
         # realized span agrees with the sphere's total parameter length
-        assert traj.states[-1].s == pytest.approx(1.8137993642342183, abs=1e-3)
+        assert traj.states[-1, 0] == pytest.approx(1.8137993642342183, abs=1e-3)
 
     def test_trajectory_points_on_unit_level(self):
         from berger_cgc.phase import energy_values
@@ -134,7 +143,7 @@ class TestIntegrate:
 
     def test_pole_event(self, pole_traj):
         assert pole_traj.termination == "boundary_pole"
-        assert math.sin(pole_traj.states[-1].x) >= 1.0 - 1e-8
+        assert math.sin(pole_traj.states[-1, 1]) >= 1.0 - 1e-8
         assert pole_traj.max_energy_drift <= 1e-9
 
     def test_energy_budget_scales_with_tolerance(self):
@@ -149,7 +158,20 @@ class TestIntegrate:
         # an exact axis state (sin alpha = 0) is on the singular locus
         p = make_params(0.75)
         with pytest.raises(SingularityError):
-            integrate(p, 3.0, ProfileState(0.0, 0.3, 0.0, 0.0), s_max=1.0)
+            integrate(p, 3.0, (0.0, 0.3, 0.0, 0.0), s_max=1.0)
+
+    @pytest.mark.parametrize("init, match", [
+        ((0.0, math.nan, 0.0, 1.0), "component x"),
+        ((0.0, 0.4, 0.0, math.inf), "component alpha"),
+        ((math.nan, 0.4, 0.0, 1.0), "component s"),
+        ((0.0, -0.3, 0.0, 1.0), "sin x >= 0"),
+        ((0.0, 0.4, 1.0), "sequence"),
+        ((0.0, 0.4, 0.0, 1.0, 0.0), "sequence"),
+        (None, "sequence"),
+    ])
+    def test_rejects_malformed_init(self, init, match):
+        with pytest.raises(DomainError, match=match):
+            integrate(make_params(0.75), 3.0, init, s_max=1.0)
 
     def test_strictly_increasing_s(self):
         p = make_params(1.0)
@@ -189,14 +211,14 @@ class TestSymmetries:
         # reversed run ending there would lose digits to the guard)
         p = make_params(0.75)
         traj = integrate(
-            p, 3.0, ProfileState(0.0, 0.4, 0.0, 0.9), s_max=0.8, n_samples=201
+            p, 3.0, (0.0, 0.4, 0.0, 0.9), s_max=0.8, n_samples=201
         )
         assert traj.termination == "step_limit"
-        s_end = traj.states[-1].s
+        s_end = traj.states[-1, 0]
         rev = apply_symmetry(traj, "reverse", s0=s_end)
-        assert rev.states[0].s == pytest.approx(s_end)
+        assert rev.states[0, 0] == pytest.approx(s_end)
         again = integrate(
-            p, 3.0, rev.states[0], s_max=s_end - traj.states[0].s, n_samples=201
+            p, 3.0, rev.states[0], s_max=s_end - traj.states[0, 0], n_samples=201
         )
         sa, xa, ya, aa = rev.arrays()
         sb, xb, yb, ab = again.arrays()
@@ -386,27 +408,46 @@ class TestTrajectoryArrays:
             assert a.dtype == float and a.shape == (33,)
             assert not a.flags.writeable
         states = traj.states
-        assert len(states) == 33
-        assert all(isinstance(st, ProfileState) for st in states)
-        assert [st.y for st in states] == traj.y.tolist()
+        assert len(states) == 33 and states.shape == (33, 4)
+        assert not states.flags.writeable
+        assert np.array_equal(states, np.column_stack(traj.arrays()))
+
+    def test_energy_bookkeeping_is_derived(self):
+        traj = clifford_solution(make_params(0.75), 0.6, n_samples=33)
+        with pytest.raises(TypeError, match="energy0"):
+            Trajectory(traj.params, traj.K, *traj.arrays(), traj.termination, energy0=0.0)
+        p = make_params(0.75)
+        traj = integrate(p, 3.0, axis_seed(p, 3.0), s_max=1.0, n_samples=65)
+        E = energy(p, 3.0, traj.x, traj.alpha)
+        assert traj.energy0 == E[0]
+        assert np.array_equal(traj.energy_drifts, np.abs(E - E[0]))
+        assert traj.max_energy_drift == traj.energy_drifts.max()
+        assert not traj.energy_drifts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.energy_drifts[0] = 1.0
+
+    def test_mismatched_columns_rejected(self):
+        s = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(DomainError, match="one nonzero length"):
+            Trajectory(make_params(0.75), 3.0, s, s[:-1] + 0.3, s, s + 0.5, "step_limit")
 
     @pytest.mark.parametrize("column", ["s", "x", "y", "alpha"])
     def test_non_finite_sample_rejected(self, column):
         cols = {c: np.linspace(0.1, 0.5, 8) for c in ("s", "x", "y", "alpha")}
         cols[column][3] = math.nan
         with pytest.raises(DomainError, match=f"component {column}"):
-            _make_trajectory(make_params(0.75), 3.0, termination="step_limit", **cols)
+            Trajectory(make_params(0.75), 3.0, termination="step_limit", **cols)
 
     def test_negative_sin_x_rejected(self):
         s = np.linspace(0.0, 1.0, 8)
         x = np.linspace(0.1, -0.1, 8)
         with pytest.raises(DomainError, match="sin x >= 0"):
-            _make_trajectory(make_params(0.75), 3.0, s, x, s, s, "step_limit")
+            Trajectory(make_params(0.75), 3.0, s, x, s, s, "step_limit")
 
     def test_s_must_increase(self):
         s = np.array([0.0, 0.1, 0.1, 0.2])
         with pytest.raises(DomainError, match="strictly increasing"):
-            _make_trajectory(make_params(0.75), 3.0, s, s + 0.3, s, s + 0.5, "step_limit")
+            Trajectory(make_params(0.75), 3.0, s, s + 0.3, s, s + 0.5, "step_limit")
 
 
 def loop_rhs_residual(traj):
@@ -415,7 +456,7 @@ def loop_rhs_residual(traj):
     worst = 0.0
     for i in range(1, len(s) - 1):
         try:
-            rh = rhs(traj.params, traj.K, ProfileState(s[i], x[i], y[i], a[i]))
+            rh = rhs(traj.params, traj.K, x[i], a[i])
         except SingularityError:
             continue
         fd = [(v[i + 1] - v[i - 1]) / (s[i + 1] - s[i - 1]) for v in (x, y, a)]
@@ -426,7 +467,7 @@ def loop_rhs_residual(traj):
 def _through_singular_sample(tau, x, alpha):
     """101 samples whose middle one (s = 0.5) sits on a singular locus of the rhs."""
     s = np.linspace(0.0, 1.0, 101)
-    return _make_trajectory(make_params(tau), 3.0, s, x(s - 0.5), s, alpha(s - 0.5), "step_limit")
+    return Trajectory(make_params(tau), 3.0, s, x(s - 0.5), s, alpha(s - 0.5), "step_limit")
 
 
 class TestRhsResidual:

@@ -324,12 +324,11 @@ class TestMeshes:
 
     def test_builders_make_no_per_sample_objects(self, monkeypatch):
         # profiles and meshes are arrays end to end
-        from berger_cgc import AmbientPoint, ProfileState
+        from berger_cgc import AmbientPoint
 
         def refuse(obj):
             raise AssertionError(f"{type(obj).__name__} constructed")
 
-        monkeypatch.setattr(ProfileState, "__post_init__", refuse)
         monkeypatch.setattr(AmbientPoint, "__post_init__", refuse)
         mesh = build_mesh(build_sphere(make_params(0.75), 3.0, samples=128), n_t=16)
         assert mesh.vertices.shape == (mesh.n_s * 16 + 2, 4)
