@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__, phase, sphere, verify
 from .errors import (
     AccuracyError,
-    BracketError,
     CriticalPointError,
     DomainError,
     NoSphereError,
@@ -289,6 +288,11 @@ def _check_profile_energy(sol):
 def cmd_sphere(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
+    # a K past the float range is found before any file is written
+    for p in map(make_params, taus):
+        for K in ks:
+            if p.k0 <= K < math.inf:
+                sphere._Factors.constants(p, K)
     report_rows = []
     for tau in taus:
         p = make_params(tau)
@@ -361,50 +365,43 @@ def cmd_sphere(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _region_cell(tau, K):
-    """The region row (tau, K, h, embedded), or None below k0."""
-    p = make_params(tau)
-    if K < p.k0:
-        return None
-    try:
-        h = sphere.vertical_radius(p, K)
-    except AccuracyError as exc:
-        if exc.achieved != math.inf:
-            raise  # unconverged quadrature, not a divergent vertical radius
-        return (tau, K, math.inf, False)
-    return (tau, K, h, h < math.pi)
-
-
 def cmd_embed_region(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    cells = [_region_cell(tau, K) for K in ks for tau in taus]  # K-major rows
-    rows = [c for c in cells if c is not None]
+    # K-major cells, all in one kernel call; a cell below k0 has no row
+    cells = [(make_params(tau), K) for K in ks for tau in taus]
+    cells = [(p, K) for p, K in cells if not K < p.k0]
+    rows = []
+    radii = sphere.vertical_radii([p for p, _ in cells], [K for _, K in cells])
+    for (p, K), h in zip(cells, radii):
+        if isinstance(h, AccuracyError):
+            if h.achieved != math.inf:
+                raise h  # the first unconverged cell fails the run
+            h = math.inf  # a divergent h is written as inf
+        rows.append((p.tau, K, h, h < math.pi))
 
-    boundary = []
+    brackets = {}  # K -> the first tau pair of its slice across h = pi, with h - pi
     for K in ks:
         slice_cells = sorted(c for c in rows if c[1] == K)
-        bracket = None
         for (t0, _, h0, _), (t1, _, h1, _) in zip(slice_cells, slice_cells[1:]):
             if math.isfinite(h0) and math.isfinite(h1) and (h0 - math.pi) * (h1 - math.pi) < 0:
-                bracket = (t0, t1)
+                brackets[K] = (t0, h0 - math.pi, t1, h1 - math.pi)
                 break
-        if bracket is None:
+    roots = dict(zip(brackets, sphere.embeddedness_boundaries(
+        list(brackets), list(brackets.values()), args.tol)))
+    boundary = []
+    for K in ks:
+        if K not in roots:
             state = "fully embedded" if all(
-                c[3] for c in slice_cells
+                c[3] for c in rows if c[1] == K
             ) else "no crossing found"
             print(f"K={_num(K)}: {state} over the tau grid")
             continue
-        try:
-            tau_star = sphere.embeddedness_boundary(K, *bracket, tol=args.tol)
-        except (BracketError, AccuracyError) as exc:
-            print(f"K={_num(K)}: boundary refinement failed: {exc}", file=sys.stderr)
+        if isinstance(roots[K], Exception):
+            print(f"K={_num(K)}: boundary refinement failed: {roots[K]}", file=sys.stderr)
             return EXIT_ACCURACY
-        h_check = sphere.vertical_radius(make_params(tau_star), K)
-        if abs(h_check - math.pi) > 10.0 * args.tol:
-            print(f"K={_num(K)}: boundary re-evaluation off target", file=sys.stderr)
-            return EXIT_ACCURACY
-        print(f"K={_num(K)}: boundary tau* = {tau_star:.12g} (h - pi = {h_check - math.pi:.3g})")
+        tau_star, f_star = roots[K]
+        print(f"K={_num(K)}: boundary tau* = {tau_star:.12g} (h - pi = {f_star:.3g})")
         boundary.append((K, tau_star))
 
     if args.out:

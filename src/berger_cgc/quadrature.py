@@ -2,12 +2,15 @@
 
 Two tools live here:
 
-* :func:`tanhsinh` -- double-exponential quadrature on a finite interval.
-  It absorbs inverse-square-root endpoint singularities and its convergence
-  is verified by level doubling.  The integrand receives the distances to
-  both endpoints, computed from the transform without cancellation; this is
-  what lets integrands like 1/sqrt(b - x) be evaluated accurately at nodes
-  within 1e-300 of the endpoint.
+* :func:`tanhsinh` -- double-exponential quadrature on many finite
+  intervals at once.  It absorbs inverse-square-root endpoint singularities
+  and verifies each interval's convergence by level doubling.  Every level
+  builds its nodes once and evaluates the integrand on a (cells x nodes)
+  array; cells that have converged drop out, and each cell's value carries
+  the bits the one-interval rule gives it.  The integrand receives the
+  distances to both endpoints, computed from the transform without
+  cancellation; this is what lets integrands like 1/sqrt(b - x) be
+  evaluated accurately at nodes within 1e-300 of the endpoint.
 
 * :class:`CumulativeGauss` -- a fixed composite Gauss-Legendre rule that
   exposes the running integral x -> int_a^x f as an evaluable function.
@@ -18,11 +21,10 @@ Two tools live here:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-
-from .errors import AccuracyError
 
 __all__ = ["tanhsinh", "CumulativeGauss"]
 
@@ -35,66 +37,70 @@ TANHSINH_ATOL = 1e-10
 TANHSINH_MAX_LEVEL = 12
 
 
-def tanhsinh(f, a: float, b: float):
-    """Integrate ``f`` over [a, b] by the double-exponential rule, to TANHSINH_ATOL.
+@functools.lru_cache(maxsize=64)
+def _nodes(level: int, count: int):
+    """The first ``count`` nodes t that a level adds, with 1 + exp(2 z), cosh t
+    and cosh(z)^2 at z = pi/2 sinh t, as read-only arrays."""
+    first, step = (0, 1) if level == 0 else (1, 2)  # level > 0: only the new nodes
+    t = np.arange(first, first + step * count, step) * (1.0 / (1 << level))
+    z = _PI_2 * np.sinh(t)
+    nodes = (t, 1.0 + np.exp(2.0 * z), np.cosh(t), np.cosh(z) ** 2)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand ``f(x, d_left, d_right)`` where ``d_left`` and
-        ``d_right`` are the exact distances ``x - a`` and ``b - x``.
-        Integrands with endpoint singularities should be written in terms of
-        the distance arguments.
-    a, b : interval endpoints, a < b.
 
-    Returns
-    -------
-    (value, error_estimate)
+def tanhsinh(f, a, b):
+    """Integrate over the n intervals [a_i, b_i], a_i < b_i, to TANHSINH_ATOL each.
 
-    Raises
-    ------
-    AccuracyError
-        If level doubling has not converged at TANHSINH_MAX_LEVEL; the best
-        value and its error estimate ride on the exception.
+    ``f(x, d_left, d_right, rows)`` is the vectorized integrand of the cells
+    ``rows`` (indices into the n), one row of x per cell; ``d_left`` and
+    ``d_right`` are the exact distances ``x - a`` and ``b - x``, in which
+    integrands with endpoint singularities should be written.  A row may run
+    past its cell's last node: those values are not summed.
+
+    Returns (values, errors, levels), arrays of n: each cell's value, error
+    estimate and last halving level.  A cell converged when its error is at
+    most TANHSINH_ATOL; one that did not stops at TANHSINH_MAX_LEVEL.
     """
-    if not (b > a):
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    if not np.all(b > a):
+        i = int(np.argmin(b > a))
+        raise ValueError(f"need a < b, got {[float(a[i, 0]), float(b[i, 0])]}")
+    live = np.arange(len(a))  # the cells still refining; their state is compacted alike
     span = b - a
-    half = 0.5 * span
+    hw = 0.5 * span * _PI_2  # the one-interval rule's half * _PI_2
     # cap the tail so endpoint distances stay >= ~1e-300 and exp(2z) finite
-    z_cap = 0.5 * math.log(span * 1e300)
-    t_max = math.asinh(z_cap / _PI_2)
-
-    raw_sum = 0.0
-    prev = None
-    est = math.nan
-    err = math.inf
+    t_max = np.array([math.asinh(0.5 * math.log(s * 1e300) / _PI_2)
+                      for s in span[:, 0].tolist()])
+    values, errors, levels = np.zeros(len(a)), np.zeros(len(a)), np.zeros(len(a), dtype=int)
+    raw_sum = prev = values
     for level in range(TANHSINH_MAX_LEVEL + 1):
-        h = 1.0 / (1 << level)
-        if level == 0:
-            t = np.arange(0, int(t_max / h) + 1) * h
-        else:
-            t = np.arange(1, int(t_max / h) + 1, 2) * h  # only the new nodes
-        z = _PI_2 * np.sinh(t)
-        d_far = span / (1.0 + np.exp(2.0 * z))  # distance to the far endpoint
-        w = half * _PI_2 * np.cosh(t) / np.cosh(z) ** 2
-        fp = f(b - d_far, span - d_far, d_far)  # nodes at +t
-        fm = f(a + d_far, d_far, span - d_far)  # mirrored nodes at -t
+        if not live.size:
+            break
+        last = (t_max * (1 << level)).astype(int)  # int(t_max / h), the last node index
+        counts = last + 1 if level == 0 else (last + 1) // 2  # each cell's node count
+        t, e, ct, cz2 = _nodes(level, int(counts.max()))
+        d_far = span / e  # distance to the far endpoint
+        d_near = span - d_far
+        w = hw * ct / cz2
+        fp = f(b - d_far, d_near, d_far, live)  # nodes at +t
+        fm = f(a + d_far, d_far, d_near, live)  # mirrored nodes at -t
         terms = w * (fp + fm)
         if level == 0:
-            terms[0] *= 0.5  # the center node t = 0 appears in both halves
-        raw_sum += float(np.sum(terms))
-        est = raw_sum * h
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= TANHSINH_ATOL:
-                return est, err
+            terms[:, 0] *= 0.5  # the center node t = 0 appears in both halves
+        # each row summed on its own, over its own nodes: numpy's pairwise sum
+        # depends on the length, so padding would change the bits
+        raw_sum = raw_sum + [np.add.reduce(row[:c]) for row, c in zip(terms, counts.tolist())]
+        est = raw_sum / (1 << level)  # the one-interval rule's raw_sum * h
+        err = np.abs(est - prev)
+        done = (err <= TANHSINH_ATOL) & (level > 0) | (level == TANHSINH_MAX_LEVEL)
+        if done.any():
+            values[live[done]], errors[live[done]], levels[live[done]] = est[done], err[done], level
+            live, a, b, span, hw, t_max, raw_sum, est = (
+                v[~done] for v in (live, a, b, span, hw, t_max, raw_sum, est))
         prev = est
-    raise AccuracyError(
-        f"tanh-sinh did not reach atol={TANHSINH_ATOL!r} at level {TANHSINH_MAX_LEVEL}",
-        achieved=est,
-        error=err,
-    )
+    return values, errors, levels
 
 
 class CumulativeGauss:

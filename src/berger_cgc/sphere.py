@@ -38,15 +38,17 @@ from .errors import (
 # by patching this binding and expects the count to stay 0
 from .geometry import AmbientPoint, BergerParams, check_unit_norm, embedding  # noqa: F401
 from .profile import Trajectory, clifford_solution
-from .quadrature import CumulativeGauss, tanhsinh
+from .quadrature import TANHSINH_ATOL, CumulativeGauss, tanhsinh
 
 __all__ = [
     "SphereSolution",
     "SurfaceMesh",
     "sin2_horizontal_radius",
     "horizontal_radius",
+    "vertical_radii",
     "vertical_radius",
     "is_embedded",
+    "embeddedness_boundaries",
     "embeddedness_boundary",
     "build_sphere",
     "build_mesh",
@@ -123,12 +125,11 @@ def sin2_horizontal_radius(params: BergerParams, K: float) -> float:
     return 2.0 / (K * (1.0 + math.sqrt(1.0 - 4.0 * params.lam / K)))
 
 
-def _check_h_finite(params: BergerParams, K: float):
-    """Raise AccuracyError (achieved = inf) where the profile reaches the
-    pole: at the threshold K = k0 for tau > 1, taken as sin^2 r >= 1 - 1e-9,
-    the vertical radius diverges logarithmically."""
+def _divergence(params: BergerParams, K: float):
+    """The AccuracyError (achieved = inf) of a cell whose h diverges, else None:
+    at the threshold K = k0 for tau > 1, taken as sin^2 r >= 1 - 1e-9."""
     if sin2_horizontal_radius(params, K) >= 1.0 - 1e-9 and params.lam < 0.0:
-        raise AccuracyError(
+        return AccuracyError(
             "vertical radius diverges: the profile reaches the pole at the "
             "existence threshold K = k0 for tau > 1",
             achieved=math.inf,
@@ -149,17 +150,33 @@ class _Factors:
     where lam_u2 = (1 + sqrt(1 - 4 lam / K)) / 2 is lam times the second
     root of Q(u).  Q takes the distance d to the turning point directly, so
     it vanishes there without cancellation.
+
+    The cells are (params[i], K[i]), each with K >= k0; every constant is a
+    column with one entry per cell, and ``table`` holds them as its rows.
     """
 
-    def __init__(self, params: BergerParams, K: float):
+    NAMES = ("lam", "tau", "K", "r", "lam_u2", "c1", "c2", "c3")
+
+    def __init__(self, params, K):
+        cells = [self.constants(p, k) for p, k in zip(params, K)]
+        self.table = np.array(cells, dtype=float).reshape(-1, 8).T.copy()
+        vars(self).update(zip(self.NAMES, self.table))
+
+    @staticmethod
+    def constants(params: BergerParams, K: float) -> tuple:
+        """The constants of one cell, in the order of NAMES.  A K whose r is 0,
+        or whose K (1 + sqrt(1 - 4 lam / K)), c1, c2 or c3 is not finite, lies
+        past the float range: DomainError."""
+        r = horizontal_radius(params, K)
         lam = params.lam
-        self.lam, self.tau, self.K = lam, params.tau, K
         sroot = math.sqrt(1.0 - 4.0 * lam / K)
-        self.lam_u2 = (1.0 + sroot) / 2.0
-        self.r = horizontal_radius(params, K)
-        self.c1 = K - 3.0 * lam - 1.0
-        self.c2 = 4.0 * lam * lam + 4.0 * lam - 2.0 * K * lam
-        self.c3 = lam * lam * (K - 4.0)
+        c1 = K - 3.0 * lam - 1.0
+        c2 = 4.0 * lam * lam + 4.0 * lam - 2.0 * K * lam
+        c3 = lam * lam * (K - 4.0)
+        if r == 0.0 or not all(map(math.isfinite, (K * (1.0 + sroot), c1, c2, c3))):
+            raise DomainError(f"K={K!r} is past the float range at tau={params.tau!r}: "
+                              "the radius or the level-relation factors overflow")
+        return (lam, params.tau, K, r, (1.0 + sroot) / 2.0, c1, c2, c3)
 
     def N(self, u):
         return np.maximum(u * (self.c1 + u * (self.c2 + u * self.c3)), 0.0)
@@ -167,18 +184,32 @@ class _Factors:
     def Q(self, d, u):
         return self.K * np.sin(d) * np.sin(2.0 * self.r - d) * (self.lam_u2 - self.lam * u)
 
-
-def _h_integrand(params: BergerParams, K: float):
-    """Vectorized integrand of the vertical radius over x in [0, r],
-    sqrt(N) / (tau cos x sqrt(Q)), taking d = r - x as the right-endpoint
-    distance."""
-    fac = _Factors(params, K)
-
-    def f(x, d_left, d_right):
+    def dh_dx(self, x, d_left, d_right, rows):
+        """The integrand of h over x in [0, r], sqrt(N) / (tau cos x sqrt(Q)),
+        for the cells ``rows`` (a row of x each), with d_right = r - x."""
+        fac = object.__new__(_Factors)  # the constants of those cells, as columns
+        vars(fac).update(zip(self.NAMES, self.table[:, rows, None]))
         u = np.sin(x) ** 2
         return np.sqrt(fac.N(u)) / (np.cos(x) * np.sqrt(fac.Q(d_right, u))) / fac.tau
 
-    return f, fac.r
+
+def vertical_radii(params, K):
+    """h of the cells (params[i], K[i]) by one tanh-sinh kernel call, each
+    with the bits a one-cell call gives it.  A cell whose h diverges, or
+    whose quadrature does not converge, gets the AccuracyError that
+    vertical_radius raises for it; the latter names the cell, the level
+    reached and the error estimate."""
+    out = [_divergence(p, k) for p, k in zip(params, K)]
+    finite = [i for i, h in enumerate(out) if h is None]
+    fac = _Factors([params[i] for i in finite], [K[i] for i in finite])
+    for i, h, err, level in zip(finite, *tanhsinh(fac.dh_dx, np.zeros(len(finite)), fac.r)):
+        out[i] = float(h) if err <= TANHSINH_ATOL else AccuracyError(
+            f"tanh-sinh did not reach atol={TANHSINH_ATOL!r} at tau={params[i].tau!r}, "
+            f"K={K[i]!r}: level {level}, error estimate {err:.3g}",
+            achieved=float(h),
+            error=float(err),
+        )
+    return out
 
 
 def vertical_radius(params: BergerParams, K: float) -> float:
@@ -189,14 +220,15 @@ def vertical_radius(params: BergerParams, K: float) -> float:
             / (cos x sqrt(1 - K (1 - lam s^2) s^2)) dx,   s = sin x,
 
     by tanh-sinh quadrature to quadrature.TANHSINH_ATOL (the integrand has
-    an inverse-square-root singularity at x = r).  At the degenerate
-    threshold K = k0 with tau > 1 the profile reaches the pole and h
-    diverges logarithmically; that case raises AccuracyError up front.
+    an inverse-square-root singularity at x = r): the one-cell call of
+    vertical_radii.  At the degenerate threshold K = k0 with tau > 1 the
+    profile reaches the pole and h diverges logarithmically; that case
+    raises AccuracyError up front, and so does an unconverged quadrature.
     """
-    _check_h_finite(params, K)
-    f, r = _h_integrand(params, K)
-    value, _ = tanhsinh(f, 0.0, r)
-    return value
+    (h,) = vertical_radii([params], [K])
+    if isinstance(h, AccuracyError):
+        raise h
+    return h
 
 
 def is_embedded(params: BergerParams, K: float) -> bool:
@@ -217,40 +249,29 @@ def is_embedded(params: BergerParams, K: float) -> bool:
     return h < math.pi
 
 
-def embeddedness_boundary(
-    K: float,
-    tau_lo: float,
-    tau_hi: float,
-    *,
-    tol: float = 1e-8,
-) -> float:
-    """Root tau* of h(tau, K) = pi on [tau_lo, tau_hi].
+def _boundary_search(lo, flo, hi, fhi, tol):
+    """The root search of h(tau, K) = pi on one K slice, as a generator.
 
     Bisection down to a narrow bracket, then secant refinement, stopping at
-    |h - pi| <= tol.  Raises BracketError when h - pi does not change sign
-    over the bracket.
+    |h - pi| <= tol.  It yields each tau where it needs f = h - pi, takes f
+    back by ``send`` and returns (tau*, f(tau*)).  Raises BracketError when
+    f does not change sign over [lo, hi].
     """
-
-    def f(tau):
-        return vertical_radius(BergerParams(tau), K) - math.pi
-
-    lo, hi = float(tau_lo), float(tau_hi)
-    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return lo
+        return lo, flo
     if fhi == 0.0:
-        return hi
+        return hi, fhi
     if flo * fhi > 0.0:
         raise BracketError(
-            f"h - pi does not change sign on [{tau_lo!r}, {tau_hi!r}] "
+            f"h - pi does not change sign on [{lo!r}, {hi!r}] "
             f"(values {flo!r}, {fhi!r})"
         )
     mid, fmid = lo, flo
     for _ in range(BOUNDARY_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        fmid = yield mid
         if abs(fmid) <= tol:
-            return mid
+            return mid, fmid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
@@ -264,15 +285,62 @@ def embeddedness_boundary(
                 c = b - fb * (b - a) / (fb - fa)
                 if not (lo <= c <= hi):
                     break
-                fc = f(c)
+                fc = yield c
                 if abs(fc) <= tol:
-                    return c
+                    return c, fc
                 a, fa, b, fb = b, fb, c, fc
     raise AccuracyError(
         f"embeddedness boundary did not reach |h - pi| <= {tol!r}",
         achieved=mid,
         error=abs(fmid),
     )
+
+
+def embeddedness_boundaries(K, brackets, tol):
+    """Roots tau* of h(tau, K[i]) = pi for several K slices in lockstep.
+
+    ``brackets[i]`` is (tau_lo, h(tau_lo) - pi, tau_hi, h(tau_hi) - pi).
+    Each step evaluates h at the next tau of every live slice with one
+    vertical_radii call.  Returns per slice (tau*, h(tau*) - pi), or the
+    BracketError or AccuracyError that ended its search.
+    """
+    searches = [_boundary_search(*bracket, tol) for bracket in brackets]
+    outcomes = [None] * len(searches)
+    sent = dict.fromkeys(range(len(searches)))  # slice -> f, or the error of h, for its search
+    while True:
+        waiting = {}  # slice -> the tau its search needs f at
+        for i, f in sent.items():
+            try:
+                step = searches[i].throw if isinstance(f, AccuracyError) else searches[i].send
+                waiting[i] = step(f)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except (BracketError, AccuracyError) as exc:
+                outcomes[i] = exc
+        if not waiting:
+            return outcomes
+        params = [BergerParams(tau) for tau in waiting.values()]
+        hs = vertical_radii(params, [K[i] for i in waiting])
+        sent = {i: h if isinstance(h, AccuracyError) else h - math.pi for i, h in zip(waiting, hs)}
+
+
+def embeddedness_boundary(
+    K: float,
+    tau_lo: float,
+    tau_hi: float,
+    *,
+    tol: float = 1e-8,
+) -> float:
+    """Root tau* of h(tau, K) = pi on [tau_lo, tau_hi]: the search of
+    embeddedness_boundaries on this one slice.  Raises BracketError when
+    h - pi does not change sign over the bracket.
+    """
+    lo, hi = BergerParams(tau_lo), BergerParams(tau_hi)
+    bracket = (lo.tau, vertical_radius(lo, K) - math.pi, hi.tau, vertical_radius(hi, K) - math.pi)
+    (outcome,) = embeddedness_boundaries([K], [bracket], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +357,7 @@ class _HalfProfile(_Factors):
     """
 
     def __init__(self, params: BergerParams, K: float):
-        super().__init__(params, K)
+        vars(self).update(zip(self.NAMES, self.constants(params, K)))
         self._s_of_theta = CumulativeGauss(self._ds_dtheta, 0.0, math.pi / 2.0, PROFILE_PANELS)
         self._y_of_theta = CumulativeGauss(self._dy_dtheta, 0.0, math.pi / 2.0, PROFILE_PANELS)
         self.half_length = self._s_of_theta.total
@@ -363,7 +431,9 @@ def build_sphere(
     while for tau > 1 the profile reaches the pole, the vertical radius
     diverges and AccuracyError is raised.
     """
-    _check_h_finite(params, K)
+    divergence = _divergence(params, K)
+    if divergence is not None:
+        raise divergence
     degenerate = (K - params.k0) <= DEGENERATE_K_TOL * max(1.0, abs(params.k0))
 
     half = _HalfProfile(params, K)

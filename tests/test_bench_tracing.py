@@ -3,8 +3,9 @@
 ``bench/tracing.py`` rebinds library functions and classes by their module
 attribute names, so a refactor that removes or renames one of them breaks
 ``bench/run.py --trace 1``.  This test loads the tracer from its path, runs
-one small ``phase`` and one ``sphere --format obj`` under it, and checks
-that its counters moved and that ``restore`` puts every name back.  The
+one small ``phase``, one ``sphere --format obj`` and one ``embed-region``
+under it, and checks that its counters moved and that ``restore`` puts
+every name back.  The
 tracer counts ODE right-hand-side evaluations through ``profile.solve_ivp``,
 which is imported on first use; a fresh interpreter checks that
 ``integrate`` still calls whatever that name is bound to.
@@ -47,6 +48,9 @@ def test_install_counts_and_restore(tmp_path, capsys):
                          "--out", str(tmp_path)]) == 0
         assert cli.main(["sphere", "--tau", "0.3", "--k", "5", "--samples", "65",
                          "--mesh-rings", "3", "--format", "obj", "--out", str(tmp_path)]) == 0
+        # the tanh-sinh kernel, called through sphere's binding of it
+        assert cli.main(["embed-region", "--k", "5", "--tau-range", "0.05:0.5:4",
+                         "--out", str(tmp_path)]) == 0
         restore()
         assert rebound() == set()
     finally:  # leave the modules as found even when install or a command failed
@@ -54,9 +58,11 @@ def test_install_counts_and_restore(tmp_path, capsys):
             for name, value in names.items():
                 if getattr(m, name) is not value:
                     setattr(m, name, value)
-    layers = tracing.summarize(tracer, 2)
+    layers = tracing.summarize(tracer, 3)
     assert layers["phase.trace_level_curve.points"] > 0
     assert layers["sphere.build_mesh.vertices"] > 0
+    assert layers["quadrature.tanhsinh.calls"] > 0
+    assert layers["quadrature.tanhsinh.evals"] > 0
     # the one traced profile, of build_sphere: len(Trajectory.states) is its sample count
     assert tracer.counts["profile.states"] == 65
 

@@ -374,6 +374,24 @@ class TestEmbedRegionCommand:
         ])
         assert rc == cli.EXIT_ACCURACY
         assert not (tmp_path / "region.csv").exists()
+        # the message names the cell, the level reached and the error estimate
+        err = capsys.readouterr().err
+        found = re.search(r"at tau=2\.0, K=0\.2500000025: level 12, error estimate (\S+)", err)
+        assert found, err
+        assert float(found.group(1)) > 1e-10
+
+    @pytest.mark.parametrize("argv", [
+        ["embed-region", "--tau", "2", "--k", "1e308"],
+        ["sphere", "--tau", "2", "--k", "1e308"],
+        # found before the first cell writes its files
+        ["sphere", "--tau", "0.5", "--k", "4", "--k", "1e308"],
+    ])
+    def test_k_past_the_float_range_is_a_configuration_error(self, argv, tmp_path, capsys):
+        # K (1 + sqrt(1 - 4 lam / K)) overflows, so r would be 0
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert "K=1e+308 is past the float range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _failed_suites(out):

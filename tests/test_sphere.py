@@ -25,7 +25,14 @@ from berger_cgc import (
     vertical_radius,
 )
 from berger_cgc.profile import frobenius_residual
-from berger_cgc.sphere import SurfaceMesh, _HalfProfile, stereographic, write_obj
+from berger_cgc.sphere import (
+    SurfaceMesh,
+    _HalfProfile,
+    embeddedness_boundaries,
+    stereographic,
+    vertical_radii,
+    write_obj,
+)
 
 # vertical radii computed independently with 40-digit arithmetic
 H_ORACLE = {
@@ -165,6 +172,23 @@ class TestEmbeddednessBoundary:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             embeddedness_boundary(5.0, 0.3, 0.5)
+
+    def test_lockstep_search_matches_one_slice_calls(self):
+        # the searches of several K slices advanced together give each slice
+        # the tau* a search of that slice alone gives; a failed search is
+        # returned for its slice and leaves the others alone
+        slices = [(4.5, 0.04, 0.097), (5.0, 0.097, 0.154), (8.0, 0.097, 0.154),
+                  (0.3, 2.261, 2.318), (0.32, 2.09, 2.147), (5.0, 0.3, 0.5)]
+        ends = [make_params(t) for _, lo, hi in slices for t in (lo, hi)]
+        h = [v - math.pi for v in vertical_radii(ends, [K for K, _, _ in slices for _ in range(2)])]
+        brackets = [(lo, h[2 * i], hi, h[2 * i + 1]) for i, (_, lo, hi) in enumerate(slices)]
+        outcomes = embeddedness_boundaries([K for K, _, _ in slices], brackets, 1e-8)
+        for (K, lo, hi), outcome in zip(slices[:-1], outcomes):
+            tau_star, f_star = outcome
+            assert tau_star == embeddedness_boundary(K, lo, hi, tol=1e-8)
+            assert f_star == vertical_radius(make_params(tau_star), K) - math.pi
+            assert abs(f_star) <= 1e-8
+        assert isinstance(outcomes[-1], BracketError)
 
 
 class TestBuildSphere:
