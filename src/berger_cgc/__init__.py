@@ -6,7 +6,8 @@ Library layout:
   metric and Hopf fibration on (..., 4) point arrays, curvature thresholds
   k0 (existence) and kp (sectional-curvature bound).
 * :mod:`berger_cgc.phase` -- the conserved-energy function on the phase
-  rectangle, its critical structure, and level-curve tracing.
+  rectangle, its critical structure, level-curve tracing and the contours
+  of a phase portrait.
 * :mod:`berger_cgc.profile` -- the profile-curve ODE system, integration
   with energy monitoring, symmetry transforms, constant solutions.
 * :mod:`berger_cgc.sphere` -- sphere construction/classification: radii,
@@ -34,6 +35,7 @@ from .geometry import (
 )
 from .phase import (
     LevelCurve,
+    contours,
     energy_gradient,
     energy_values,
     interior_critical_points,

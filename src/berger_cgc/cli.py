@@ -6,14 +6,19 @@
     berger-cgc embed-region --k-range 4:8:5 --tau-range 0.05:0.6:12 --out out/
     berger-cgc verify
 
-CSV is the canonical output; SVG is a thin polyline renderer over the same
-data.  Floats are serialized with 17 significant digits so files round-trip
-exactly and identical configurations give byte-identical outputs.
+The commands only parse, format and write: the numbers come from the
+library (contours from :func:`berger_cgc.phase.contours`, spheres, radii and
+boundary roots from :mod:`berger_cgc.sphere`), and every cell of a sweep is
+computed before any file is written.  CSV is the canonical output, written
+from typed columns by one writer; SVG is a thin polyline renderer over the
+same data.  Floats are serialized with 17 significant digits so files
+round-trip exactly and identical configurations give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,12 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, phase, sphere, verify
-from .errors import (
-    AccuracyError,
-    CriticalPointError,
-    DomainError,
-    NoSphereError,
-)
+from .errors import AccuracyError, DomainError, NoSphereError
 from .geometry import make_params
 
 EXIT_OK = 0
@@ -35,31 +35,31 @@ EXIT_CONFIG = 2
 EXIT_NO_SPHERE = 3
 EXIT_ACCURACY = 4
 
-#: bisection steps that place a level crossing on a scan segment
-BISECT_ITERS = 80
-#: scan points per rectangle edge (and the Y = 0 axis) when seeding contours
-SEED_SCAN = 800
 #: SVG width in pixels, and height unless the aspect ratio is kept
 SVG_SIZE = 600
 #: largest energy drift a sphere profile may carry into the outputs
 PROFILE_ENERGY_TOL = 1e-8
 
 
-def _write_csv(path, header, rows, row_format=None):
-    """Write ``rows`` (tuples) through one %-format per row.
+def _write_csv(path, columns):
+    """Write ``columns`` (header -> values, all of one length) as CSV rows.
 
-    ``row_format`` defaults to all-float columns; floats use %.17g, which
-    round-trips exactly.  Boolean columns are passed as "true"/"false"
-    strings under %s.
+    Each column's format follows its values: bools are written as
+    true/false, integers with %d and floats with %.17g, which round-trips
+    exactly.  Rows are formatted and written one at a time.
     """
-    line = (row_format or ",".join(["%.17g"] * len(header))) + "\n"
+    formats, values = [], []
+    for column in map(np.asarray, columns.values()):
+        if column.dtype == bool:
+            formats.append("%s")
+            column = np.where(column, "true", "false")
+        else:
+            formats.append("%d" if column.dtype.kind in "iu" else "%.17g")
+        values.append(column.tolist())
+    line = ",".join(formats) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(line % row for row in rows)
-
-
-def _bool(v) -> str:
-    return "true" if v else "false"
+        f.write(",".join(columns) + "\n")
+        f.writelines(line % row for row in zip(*values))
 
 
 def _values(args, name):
@@ -127,13 +127,11 @@ def cmd_thresholds(args) -> int:
     widths = [max(12, *(len(cells[j]) for cells in table)) for j in range(4)]
     for cells in table:
         print(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "  " + cells[4])
-    rows = [(p.tau, p.lam, p.k0, p.kp, p.k0, p.kp) for p in params]
     if args.out:
-        _write_csv(
-            os.path.join(args.out, "thresholds.csv"),
-            ("tau", "lambda", "k0", "kP", "new_lo", "new_hi"),
-            rows,
-        )
+        k0, kp = [p.k0 for p in params], [p.kp for p in params]
+        _write_csv(os.path.join(args.out, "thresholds.csv"), {
+            "tau": [p.tau for p in params], "lambda": [p.lam for p in params],
+            "k0": k0, "kP": kp, "new_lo": k0, "new_hi": kp})
     return EXIT_OK
 
 
@@ -142,87 +140,21 @@ def cmd_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_on_segment(f, a, b, fa):
-    for _ in range(BISECT_ITERS):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _seeds_for_level(params, K, level):
-    """Level crossings (X, Y) along the rectangle edges and the Y = 0 axis."""
-    seeds = []
-    t = np.linspace(0.0, 1.0, SEED_SCAN)
-
-    def scan(pts_x, pts_y, make_point):
-        F = phase.energy_values(params, K, pts_x, pts_y) - level
-        sign = np.sign(F)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            g = lambda v: float(
-                phase.energy_values(params, K, *make_point(v)) - level
-            )
-            v = _bisect_on_segment(g, t[i], t[i + 1], float(F[i]))
-            seeds.append(make_point(v))
-
-    scan(np.zeros_like(t), 2.0 * t - 1.0, lambda v: (0.0, 2.0 * v - 1.0))
-    scan(np.ones_like(t), 2.0 * t - 1.0, lambda v: (1.0, 2.0 * v - 1.0))
-    scan(t, np.full_like(t, -1.0), lambda v: (v, -1.0))
-    scan(t, np.ones_like(t), lambda v: (v, 1.0))
-    scan(t, np.zeros_like(t), lambda v: (v, 0.0))
-    return seeds
-
-
-def _trace_both_ways(params, K, level, seed):
-    """The level curve through ``seed`` as an (N, 2) array, traced both ways."""
-    halves = []
-    for direction in (1, -1):
-        try:
-            c = phase.trace_level_curve(params, K, level, seed, direction)
-        except (CriticalPointError, DomainError) as exc:
-            c = getattr(exc, "partial", None)
-        if c is not None and len(c.points) > 1:
-            halves.append(c.points)
-        if c is not None and c.closed:
-            return halves[-1]
-    if len(halves) == 2:
-        return np.concatenate([halves[1][::-1], halves[0][1:]])
-    return halves[0] if halves else np.empty((0, 2))
-
-
-def _contour_polylines(params, K, levels):
-    """Traced (N, 2) polylines per level, deduplicating seeds already covered."""
-    out = []
-    for level in levels:
-        covered = np.empty((0, 2))
-        for X, Y in _seeds_for_level(params, K, level):
-            if covered.size and np.min(np.hypot(covered[:, 0] - X, covered[:, 1] - Y)) < 2e-2:
-                continue
-            pts = _trace_both_ways(params, K, level, (X, Y))
-            if len(pts) < 2:
-                continue
-            out.append((level, pts))
-            covered = np.vstack([covered, pts])
-    return out
-
-
 def _phase_cell(tau, K, n, levels):
-    """One (tau, K) portrait: energy grid plus traced contour polylines."""
+    """One (tau, K) portrait: energy grid plus traced contours."""
     p = make_params(tau)
     near = abs(K - p.k0) <= 1e-9 * max(1.0, abs(p.k0))
     verdict = "boundary" if near else ("yes" if phase.sphere_exists(p, K) else "no")
     X, Y = np.meshgrid(np.linspace(0, 1, n), np.linspace(-1, 1, n))
-    F = phase.energy_values(p, K, X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = phase.energy_values(p, K, X, Y)
+    if not np.isfinite(F).all():
+        raise DomainError(f"tau={_num(tau)} K={_num(K)}: the energy F is not finite "
+                          "on the phase grid")
     if levels is None:
         lo, hi = float(F.min()), float(F.max())
-        levels = sorted(set(np.round(np.linspace(lo, hi, 13)[1:-1], 6)) | {1.0})
-    polylines = _contour_polylines(p, K, levels)
-    return verdict, p.k0, X, Y, F, levels, polylines
+        levels = sorted(set(np.round(np.linspace(lo, hi, 13)[1:-1], 6).tolist()) | {1.0})
+    return verdict, p.k0, X, Y, F, levels, phase.contours(p, K, levels)
 
 
 def cmd_phase(args) -> int:
@@ -230,12 +162,10 @@ def cmd_phase(args) -> int:
     ks = _values(args, "k")
     # every cell before any output: a bad tau or K exits 2 having written nothing
     cells = [(tau, K, *_phase_cell(tau, K, args.grid, args.levels)) for tau in taus for K in ks]
-    for tau, K, verdict, k0, X, Y, F, levels, polylines in cells:
-        print(
-            f"tau={_num(tau)} K={_num(K)}: K0={k0:g}, level-1 connects "
-            f"(closed form): {verdict}"
-        )
-        traced = {level for level, _ in polylines}
+    for tau, K, verdict, k0, X, Y, F, levels, curves in cells:
+        print(f"tau={_num(tau)} K={_num(K)}: K0={k0:g}, level-1 connects "
+              f"(closed form): {verdict}")
+        traced = {c.level for c in curves}
         for level in (lv for lv in levels if lv not in traced):
             print(f"tau={_num(tau)} K={_num(K)}: no curve traced at level {_num(level)} "
                   f"(F on the grid spans [{F.min():.6g}, {F.max():.6g}])", file=sys.stderr)
@@ -243,33 +173,17 @@ def cmd_phase(args) -> int:
             continue
         tag = f"tau{_slug(tau)}_K{_slug(K)}"
         if "csv" in args.format:
-            _write_csv(
-                os.path.join(args.out, f"phase_grid_{tag}.csv"),
-                ("X", "Y", "F"),
-                zip(X.ravel().tolist(), Y.ravel().tolist(), F.ravel().tolist()),
-            )
-            rows = [
-                (level, seq, xv, yv)
-                for level, pts in polylines
-                for seq, (xv, yv) in enumerate(pts.tolist())
-            ]
-            _write_csv(
-                os.path.join(args.out, f"contours_{tag}.csv"),
-                ("level", "seq", "X", "Y"),
-                rows,
-                "%.17g,%d,%.17g,%.17g",
-            )
-        if "svg" in args.format:
-            svg_lines = [
-                (pts, 2.5 if abs(level - 1.0) < 1e-12 else 1.0)
-                for level, pts in polylines
-            ]
-            _svg(
-                os.path.join(args.out, f"phase_{tag}.svg"),
-                svg_lines,
-                (0.0, 1.0),
-                (-1.0, 1.0),
-            )
+            _write_csv(os.path.join(args.out, f"phase_grid_{tag}.csv"),
+                       {"X": X.ravel(), "Y": Y.ravel(), "F": F.ravel()})
+            sizes = [len(c.points) for c in curves]
+            points = np.concatenate([np.empty((0, 2))] + [c.points for c in curves])
+            _write_csv(os.path.join(args.out, f"contours_{tag}.csv"), {
+                "level": np.repeat([c.level for c in curves], sizes),
+                "seq": np.concatenate([np.arange(n) for n in [0] + sizes]),
+                "X": points[:, 0], "Y": points[:, 1]})
+        if "svg" in args.format:  # level 1 drawn bold
+            svg_lines = [(c.points, 2.5 if abs(c.level - 1.0) < 1e-12 else 1.0) for c in curves]
+            _svg(os.path.join(args.out, f"phase_{tag}.svg"), svg_lines, (0.0, 1.0), (-1.0, 1.0))
     return EXIT_OK
 
 
@@ -288,75 +202,54 @@ def _check_profile_energy(sol):
 def cmd_sphere(args) -> int:
     taus = _values(args, "tau")
     ks = _values(args, "k")
-    # a K past the float range is found before any file is written
-    for p in map(make_params, taus):
-        for K in ks:
-            if p.k0 <= K < math.inf:
-                sphere._Factors.constants(p, K)
-    report_rows = []
+    # every cell before any output: a bad K, a K below k0 or an accuracy
+    # failure anywhere in the sweep writes nothing
+    cells = []
     for tau in taus:
         p = make_params(tau)
         for K in ks:
             try:
                 sol = sphere.build_sphere(p, K, samples=args.samples)
             except AccuracyError as exc:
-                if exc.achieved == math.inf:
-                    # threshold case for tau > 1: pole-touching profile
-                    print(
-                        f"tau={_num(tau)} K={_num(K)}: pole-touching sphere at the "
-                        f"threshold (r = pi/2), vertical radius diverges"
-                    )
-                    report_rows.append(
-                        (tau, K, math.pi / 2.0, math.inf, _bool(False), math.nan)
-                    )
-                    continue
-                print(f"tau={_num(tau)} K={_num(K)}: accuracy failure: {exc}", file=sys.stderr)
-                return EXIT_ACCURACY
-            _check_profile_energy(sol)
-            flag = " (threshold case)" if sol.degenerate_threshold else ""
-            print(
-                f"tau={_num(tau)} K={_num(K)}: r={sol.r:.12g} h={sol.h:.12g} "
-                f"T={sol.T:.12g} embedded={sol.embedded}{flag}"
-            )
-            report_rows.append((tau, K, sol.r, sol.h, _bool(sol.embedded), sol.T))
-            if not args.out:
-                continue
-            tag = f"tau{_slug(tau)}_K{_slug(K)}"
-            s, x, y, a = sol.profile.arrays()
-            if "csv" in args.format:
-                _write_csv(
-                    os.path.join(args.out, f"profile_{tag}.csv"),
-                    ("s", "x", "y", "alpha", "energy_drift"),
-                    zip(s.tolist(), x.tolist(), y.tolist(), a.tolist(),
-                        sol.profile.energy_drifts.tolist()),
-                )
-            if "svg" in args.format:
-                my = 1.05 * max(abs(y.min()), abs(y.max())) or 1.0
-                _svg(
-                    os.path.join(args.out, f"profile_{tag}.svg"),
-                    [(np.column_stack([y, x]), 1.5)],
-                    (-my, my),
-                    (0.0, math.pi / 2.0),
-                    equal_aspect=True,
-                )
-            if "obj" in args.format:
-                mesh = sphere.build_mesh(sol, n_t=args.mesh_rings)
-                with open(os.path.join(args.out, f"sphere_{tag}.obj"), "w") as f:
-                    sphere.write_obj(
-                        mesh,
-                        f,
-                        header=(
-                            f"tau={tau:.17g} K={K:.17g}",
-                            f"berger-cgc {__version__}",
-                        ),
-                    )
-    if args.out and report_rows:
-        _write_csv(
-            os.path.join(args.out, "spheres.csv"),
-            ("tau", "K", "r", "h", "embedded", "T"),
-            report_rows,
-            "%.17g,%.17g,%.17g,%.17g,%s,%.17g",
-        )
+                if exc.achieved != math.inf:
+                    print(f"tau={_num(tau)} K={_num(K)}: accuracy failure: {exc}",
+                          file=sys.stderr)
+                    return EXIT_ACCURACY
+                sol = None  # threshold case for tau > 1: pole-touching profile
+            else:
+                _check_profile_energy(sol)
+            cells.append((tau, K, sol))
+    report = []
+    for tau, K, sol in cells:
+        if sol is None:
+            print(f"tau={_num(tau)} K={_num(K)}: pole-touching sphere at the "
+                  f"threshold (r = pi/2), vertical radius diverges")
+            report.append((tau, K, math.pi / 2.0, math.inf, False, math.nan))
+            continue
+        flag = " (threshold case)" if sol.degenerate_threshold else ""
+        print(f"tau={_num(tau)} K={_num(K)}: r={sol.r:.12g} h={sol.h:.12g} "
+              f"T={sol.T:.12g} embedded={sol.embedded}{flag}")
+        report.append((tau, K, sol.r, sol.h, sol.embedded, sol.T))
+        if not args.out:
+            continue
+        tag = f"tau{_slug(tau)}_K{_slug(K)}"
+        s, x, y, a = sol.profile.arrays()
+        if "csv" in args.format:
+            _write_csv(os.path.join(args.out, f"profile_{tag}.csv"), {
+                "s": s, "x": x, "y": y, "alpha": a,
+                "energy_drift": sol.profile.energy_drifts})
+        if "svg" in args.format:
+            my = 1.05 * max(abs(y.min()), abs(y.max())) or 1.0
+            _svg(os.path.join(args.out, f"profile_{tag}.svg"), [(np.column_stack([y, x]), 1.5)],
+                 (-my, my), (0.0, math.pi / 2.0), equal_aspect=True)
+        if "obj" in args.format:
+            mesh = sphere.build_mesh(sol, n_t=args.mesh_rings)
+            with open(os.path.join(args.out, f"sphere_{tag}.obj"), "w") as f:
+                sphere.write_obj(mesh, f, header=(f"tau={tau:.17g} K={K:.17g}",
+                                                  f"berger-cgc {__version__}"))
+    if args.out:
+        _write_csv(os.path.join(args.out, "spheres.csv"),
+                   dict(zip(("tau", "K", "r", "h", "embedded", "T"), zip(*report))))
     return EXIT_OK
 
 
@@ -371,19 +264,21 @@ def cmd_embed_region(args) -> int:
     # K-major cells, all in one kernel call; a cell below k0 has no row
     cells = [(make_params(tau), K) for K in ks for tau in taus]
     cells = [(p, K) for p, K in cells if not K < p.k0]
-    rows = []
-    radii = sphere.vertical_radii([p for p, _ in cells], [K for _, K in cells])
-    for (p, K), h in zip(cells, radii):
+    hs = []
+    for h in sphere.vertical_radii([p for p, _ in cells], [K for _, K in cells]):
         if isinstance(h, AccuracyError):
             if h.achieved != math.inf:
                 raise h  # the first unconverged cell fails the run
             h = math.inf  # a divergent h is written as inf
-        rows.append((p.tau, K, h, h < math.pi))
+        hs.append(h)
+    region = {"tau": [p.tau for p, _ in cells], "K": [K for _, K in cells], "h": hs,
+              "embedded": [h < math.pi for h in hs]}
 
+    slices = {K: sorted((t, h) for t, k, h in zip(region["tau"], region["K"], hs) if k == K)
+              for K in ks}  # K -> its (tau, h) cells, by tau
     brackets = {}  # K -> the first tau pair of its slice across h = pi, with h - pi
-    for K in ks:
-        slice_cells = sorted(c for c in rows if c[1] == K)
-        for (t0, _, h0, _), (t1, _, h1, _) in zip(slice_cells, slice_cells[1:]):
+    for K, pairs in slices.items():
+        for (t0, h0), (t1, h1) in zip(pairs, pairs[1:]):
             if math.isfinite(h0) and math.isfinite(h1) and (h0 - math.pi) * (h1 - math.pi) < 0:
                 brackets[K] = (t0, h0 - math.pi, t1, h1 - math.pi)
                 break
@@ -392,9 +287,12 @@ def cmd_embed_region(args) -> int:
     boundary = []
     for K in ks:
         if K not in roots:
-            state = "fully embedded" if all(
-                c[3] for c in rows if c[1] == K
-            ) else "no crossing found"
+            if not slices[K]:
+                state = "no cell at or above K0"
+            elif all(h < math.pi for _, h in slices[K]):
+                state = "fully embedded"
+            else:
+                state = "no crossing found"
             print(f"K={_num(K)}: {state} over the tau grid")
             continue
         if isinstance(roots[K], Exception):
@@ -405,18 +303,10 @@ def cmd_embed_region(args) -> int:
         boundary.append((K, tau_star))
 
     if args.out:
-        _write_csv(
-            os.path.join(args.out, "region.csv"),
-            ("tau", "K", "h", "embedded"),
-            ((t, k, h, _bool(e)) for t, k, h, e in rows),
-            "%.17g,%.17g,%.17g,%s",
-        )
+        _write_csv(os.path.join(args.out, "region.csv"), region)
         if boundary:
-            _write_csv(
-                os.path.join(args.out, "boundary.csv"),
-                ("K", "tau_star"),
-                boundary,
-            )
+            _write_csv(os.path.join(args.out, "boundary.csv"),
+                       dict(zip(("K", "tau_star"), zip(*boundary))))
     return EXIT_OK
 
 
@@ -531,6 +421,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parsing does not change the parser: one per process
 def _build_parser():
     ap = _Parser(
         prog="berger-cgc",

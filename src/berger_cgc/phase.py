@@ -9,9 +9,10 @@ level sets of
 over (X, Y) = (sin^2 x, cos alpha) in [0, 1] x [-1, 1].  Spheres correspond
 to the level-1 component joining (0, 1) to (0, -1), which exists exactly for
 K >= k0.  This module provides the closed form, its analytic gradient and
-critical set, and a predictor-corrector tracer delivering level curves as
+critical set, a predictor-corrector tracer delivering level curves as
 ordered paths (grid contouring would smear the near-threshold curves that
-hug the rectangle boundary, and the sphere builder needs an ordered path).
+hug the rectangle boundary, and the sphere builder needs an ordered path),
+and the contours of a phase portrait, traced from seeds on scan lines.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "energy_gradient",
     "interior_critical_points",
     "trace_level_curve",
+    "contours",
     "sphere_exists",
     "level_one_connects",
 ]
@@ -45,6 +47,16 @@ GRAD_TOL = 1e-12
 FIRST_STEP, MAX_STEP, MIN_STEP, MAX_STEPS = 1e-3, 4e-3, 1e-8, 50000
 #: Newton steps of one corrector projection onto the level set
 CORRECT_MAX_ITER = 12
+#: bisection steps that place a level crossing on a scan segment
+BISECT_ITERS = 80
+#: scan points per rectangle edge (and the Y = 0 axis) when seeding contours
+SEED_SCAN = 800
+#: the scan lines X = x0 + dx v, Y = y0 + dy v for v in [0, 1], as rows
+#: (x0, dx, y0, dy): the edges X = 0, X = 1, Y = -1, Y = 1 and the axis Y = 0
+SCAN_LINES = np.array([(0, 0, -1, 2), (1, 0, -1, 2), (0, 1, -1, 0), (0, 1, 1, 0), (0, 1, 0, 0)],
+                      dtype=float)
+#: a seed this close to a curve already traced at its level starts no trace
+SEED_COVERED = 2e-2
 
 
 @dataclass(frozen=True)
@@ -331,3 +343,79 @@ def level_one_connects(params: BergerParams, K: float) -> bool:
         return False
     X, Y = curve.points[-1].tolist()
     return abs(X) <= 1e-6 and abs(Y + 1.0) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# contours of a phase portrait
+# ---------------------------------------------------------------------------
+
+
+def _seeds(params: BergerParams, K: float, levels):
+    """The crossings of every level on the SCAN_LINES, as arrays
+    ``(level index, X, Y)`` ordered by level, then line, then position.
+
+    Each sign change of F - level between two of the SEED_SCAN points of a
+    line is placed by BISECT_ITERS bisection steps, all seeds in lockstep;
+    a midpoint where F equals the level exactly is the seed.
+    """
+    levels = np.asarray(levels, dtype=float)
+    v = np.linspace(0.0, 1.0, SEED_SCAN)
+    x0, dx, y0, dy = SCAN_LINES.T[:, :, None]
+    F = energy_values(params, K, x0 + dx * v, y0 + dy * v)  # (line, v)
+    sign = np.sign(F - levels[:, None, None])  # (level, line, v)
+    which, line, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    level = levels[which]
+    x0, dx, y0, dy = SCAN_LINES[line].T
+    a, b = v[i], v[i + 1]
+    above = F[line, i] - level > 0.0  # the side of the level that end a stays on
+    exact = np.full(len(a), np.nan)  # the first midpoint that lands on the level
+    for _ in range(BISECT_ITERS):
+        m = 0.5 * (a + b)
+        fm = energy_values(params, K, x0 + dx * m, y0 + dy * m) - level
+        hit = (fm == 0.0) & np.isnan(exact)
+        exact[hit] = m[hit]
+        same = (fm > 0.0) == above
+        a, b = np.where(same, m, a), np.where(same, b, m)
+    v = np.where(np.isnan(exact), 0.5 * (a + b), exact)
+    return which, x0 + dx * v, y0 + dy * v
+
+
+def _trace_both_ways(params: BergerParams, K: float, level: float, seed):
+    """The level curve through ``seed``, traced both ways, or None when
+    neither way gets past the seed."""
+    halves = []
+    for direction in (1, -1):
+        try:
+            c = trace_level_curve(params, K, level, seed, direction)
+        except (CriticalPointError, DomainError) as exc:
+            c = getattr(exc, "partial", None)
+        if c is not None and c.closed:
+            return c
+        if c is not None and len(c.points) > 1:
+            halves.append(c.points)
+    if len(halves) == 2:
+        return LevelCurve(level, False, np.concatenate([halves[1][::-1], halves[0][1:]]))
+    return LevelCurve(level, False, halves[0]) if halves else None
+
+
+def contours(params: BergerParams, K: float, levels) -> list[LevelCurve]:
+    """The level curves of F through the rectangle edges and the axis Y = 0.
+
+    Each level is seeded where it crosses one of the SCAN_LINES and traced
+    both ways from each seed that lies at least SEED_COVERED from the
+    curves already traced at that level.  Curves come in the order of
+    ``levels``, then of their seeds; a curve is ``closed`` when its trace
+    came back to its seed.  A level that crosses no scan line gives none.
+    """
+    which, X, Y = _seeds(params, K, levels)
+    curves = []
+    for k, level in enumerate(levels):
+        covered = np.empty((0, 2))
+        for x, y in zip(X[which == k].tolist(), Y[which == k].tolist()):
+            if covered.size and np.hypot(covered[:, 0] - x, covered[:, 1] - y).min() < SEED_COVERED:
+                continue
+            curve = _trace_both_ways(params, K, level, (x, y))
+            if curve is not None:
+                curves.append(curve)
+                covered = np.vstack([covered, curve.points])
+    return curves

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +20,28 @@ def read_csv(path):
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
-    # one %-format per row gives the same bytes as formatting each value
-    # with :.17g, including the special and extreme floats
+    # the column writer gives the same bytes as formatting each value on its
+    # own: floats with :.17g (the special and extreme ones included),
+    # integers in full and bools as true/false, whether the column is a
+    # list or an array
     values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.5,
               0.1, 1 / 3, math.pi, math.inf, -math.inf, math.nan]
-    rows = [(v, i, -v) for i, v in enumerate(values)]
+    ints = [2**62, -(2**62)] + list(range(len(values) - 2))
+    flags = [v < 1 for v in values]
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ("a", "i", "b"), rows, "%.17g,%d,%.17g")
-    want = "a,i,b\n" + "".join(f"{a:.17g},{i},{b:.17g}\n" for a, i, b in rows)
+    cli._write_csv(path, {"a": values, "i": np.array(ints), "b": -np.array(values),
+                          "e": np.array(flags), "f": flags})
+    want = "a,i,b,e,f\n" + "".join(
+        f"{a:.17g},{i},{-a:.17g},{str(e).lower()},{str(e).lower()}\n"
+        for a, i, e in zip(values, ints, flags))
     assert path.read_text() == want
+
+
+def test_csv_with_no_rows_is_its_header(tmp_path):
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, {"level": [], "seq": np.arange(0), "X": np.empty(0),
+                          "embedded": np.zeros(0, bool)})
+    assert path.read_text() == "level,seq,X,embedded\n"
 
 
 def test_svg_points_match_per_point_formatting(tmp_path):
@@ -49,6 +63,26 @@ def test_svg_points_match_per_point_formatting(tmp_path):
             for points in (pts, pts[2:])
         ]
         assert re.findall(r'points="([^"]*)"', text) == want
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_reads_no_private_library_name():
+    # the CLI formats what the library's public names return
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names if node.module is None}
+    assert {"phase", "sphere", "verify"} <= modules
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and _private(node.attr)]
+    private += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if _private(alias.name)]
+    assert private == []
 
 
 #: the flags each subcommand reads besides --out and --config
@@ -75,6 +109,14 @@ class TestFlags:
             name: flags | {"--out", "--config"} for name, flags in COMMAND_FLAGS.items()
         }
         assert sum(len(flags) for flags in declared.values()) == 32
+
+    def test_parser_is_built_once(self):
+        # parsing leaves the parser as it was, so one serves every call
+        assert cli._build_parser() is cli._build_parser()
+        parser = cli._build_parser()
+        first = parser.parse_args(["phase", "--tau", "0.5", "--k", "3"])
+        second = parser.parse_args(["phase", "--k", "4"])
+        assert (first.tau, first.k, second.tau, second.k) == ([0.5], [3.0], None, [4.0])
 
     def test_tol_default_per_command(self):
         parser = cli._build_parser()
@@ -114,6 +156,9 @@ class TestFlags:
         # non-finite contour levels: a contours CSV with only its header
         ["phase", "--tau", "0.75", "--k", "3", "--grid", "3", "--levels", "nan,inf,-inf"],
         ["phase", "--tau", "0.75", "--k", "3", "--grid", "3", "--levels", "1,nan"],
+        # the energy grid overflows to inf, or is nan
+        ["phase", "--tau", "2", "--k", "1e308", "--grid", "5"],
+        ["phase", "--tau", "1e100", "--k", "1", "--grid", "5"],
     ])
     def test_malformed_value_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -245,6 +290,30 @@ class TestPhaseCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"{kind}_tau0p75_K{K}.csv" for kind in ("contours", "phase_grid") for K in ("3", "4")]
 
+    def test_automatic_levels_print_as_plain_numbers(self, tmp_path, capsys, monkeypatch):
+        # with no curve traced, every automatic level is named on stderr
+        monkeypatch.setattr(cli.phase, "contours", lambda params, K, levels: [])
+        assert cli.main(["phase", "--tau", "0.75", "--k", "3", "--grid", "21",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        levels = re.findall(r"no curve traced at level (\S+) \(", err)
+        assert len(levels) == 12 and "1" in levels
+        assert "np.float64" not in err
+        assert all(re.fullmatch(r"-?[0-9.]+(e[-+][0-9]+)?", level) for level in levels), levels
+        _, rows = read_csv(tmp_path / "contours_tau0p75_K3.csv")
+        assert rows == []
+
+    @pytest.mark.parametrize("tau,K", [("2", "1e308"), ("1e100", "1")])
+    def test_non_finite_energy_grid_is_named_without_warnings(self, tau, K, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["phase", "--tau", tau, "--k", K, "--grid", "5",
+                           "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"tau={float(tau):g} K={float(K):g}: the energy F is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_level_one_polyline_connects_corners(self, tmp_path):
         cli.main([
             "phase", "--tau", "2", "--k", "0.3", "--grid", "41",
@@ -293,6 +362,32 @@ class TestSphereCommand:
         assert rc == 0
         _, rows = read_csv(tmp_path / "spheres.csv")
         assert math.isfinite(float(rows[0][3]))
+
+    def test_k_below_k0_anywhere_in_a_sweep_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sphere", "--tau", "0.75", "--k", "3", "--k", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_NO_SPHERE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_accuracy_failure_anywhere_in_a_sweep_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        build = sphere.build_sphere
+
+        def failing_at_k4(params, K, **kw):
+            if K == 4.0:
+                raise cli.AccuracyError("quadrature stalled", achieved=1e-3)
+            return build(params, K, **kw)
+
+        monkeypatch.setattr(sphere, "build_sphere", failing_at_k4)
+        out = tmp_path / "out"
+        argv = ["sphere", "--tau", "0.5", "--k", "3.5", "--k", "4", "--format", "csv,svg,obj",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ACCURACY
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau=0.5 K=4: accuracy failure: quadrature stalled" in captured.err
 
     def test_pole_touching_threshold_reported(self, tmp_path, capsys):
         rc = cli.main(["sphere", "--tau", "2", "--k", "0.25", "--out", str(tmp_path)])
@@ -363,6 +458,14 @@ class TestEmbedRegionCommand:
         ])
         assert rc == 0
         assert "fully embedded" in capsys.readouterr().out
+        assert not (tmp_path / "boundary.csv").exists()
+
+    def test_slice_with_no_cell_at_or_above_k0(self, tmp_path, capsys):
+        # K = 1 lies below k0 at tau = 0.1: the slice is not "fully embedded"
+        rc = cli.main(["embed-region", "--tau", "0.1", "--k", "1", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().out == "K=1: no cell at or above K0 over the tau grid\n"
+        assert (tmp_path / "region.csv").read_text() == "tau,K,h,embedded\n"
         assert not (tmp_path / "boundary.csv").exists()
 
     def test_unconverged_quadrature_is_an_accuracy_failure(self, tmp_path, capsys):

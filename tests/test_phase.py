@@ -9,6 +9,7 @@ from scipy import ndimage
 
 from berger_cgc import (
     CriticalPointError,
+    contours,
     DomainError,
     LevelCurve,
     energy_gradient,
@@ -20,7 +21,7 @@ from berger_cgc import (
     trace_level_curve,
     verify,
 )
-from berger_cgc.phase import TRACE_TOL
+from berger_cgc.phase import BISECT_ITERS, SEED_SCAN, TRACE_TOL, _f_and_grad, _seeds
 
 
 def exact_energy(lam: Fraction, K: Fraction, X: Fraction, Y: Fraction) -> Fraction:
@@ -275,14 +276,14 @@ class TestTracing:
         for tau, K, want in [(2.0, 0.3, True), (2.0, 0.2, False), (0.75, 3.0, True)]:
             p = make_params(tau)
             F = energy_values(p, K, X, Y)
-            contours = find_contours(F, 1.0)
+            found = find_contours(F, 1.0)
 
             def near(c, Xt, Yt, tol=3e-3):
                 Xv = c[:, 1] / (n - 1)
                 Yv = c[:, 0] / (n - 1) * 2 - 1
                 return np.any((np.abs(Xv - Xt) < tol) & (np.abs(Yv - Yt) < tol))
 
-            connected = any(near(c, 0, 1) and near(c, 0, -1) for c in contours)
+            connected = any(near(c, 0, 1) and near(c, 0, -1) for c in found)
             assert connected == want == level_one_connects(p, K)
 
     def test_sublevel_label_oracle(self):
@@ -304,6 +305,96 @@ class TestTracing:
             connected = origin not in edges
             want = K > p.k0
             assert connected == want == level_one_connects(p, K) == sphere_exists(p, K), (tau, K)
+
+
+def scalar_seeds(params, K, level):
+    """Oracle: the seeds of one level, each crossing bisected on its own
+    through scalar calls of the energy (the loop ``contours`` batches)."""
+
+    def bisect(f, a, b, fa):
+        for _ in range(BISECT_ITERS):
+            m = 0.5 * (a + b)
+            fm = f(m)
+            if fm == 0.0:
+                return m
+            if (fm > 0.0) == (fa > 0.0):
+                a, fa = m, fm
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+    seeds = []
+    t = np.linspace(0.0, 1.0, SEED_SCAN)
+
+    def scan(pts_x, pts_y, make_point):
+        F = energy_values(params, K, pts_x, pts_y) - level
+        sign = np.sign(F)
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            g = lambda v: float(energy_values(params, K, *make_point(v)) - level)
+            seeds.append(make_point(bisect(g, t[i], t[i + 1], float(F[i]))))
+
+    scan(np.zeros_like(t), 2.0 * t - 1.0, lambda v: (0.0, 2.0 * v - 1.0))
+    scan(np.ones_like(t), 2.0 * t - 1.0, lambda v: (1.0, 2.0 * v - 1.0))
+    scan(t, np.full_like(t, -1.0), lambda v: (v, -1.0))
+    scan(t, np.ones_like(t), lambda v: (v, 1.0))
+    scan(t, np.zeros_like(t), lambda v: (v, 0.0))
+    return seeds
+
+
+def portrait_levels(params, K):
+    """The automatic levels of ``berger-cgc phase`` on a coarse grid."""
+    X, Y = np.meshgrid(np.linspace(0, 1, 41), np.linspace(-1, 1, 41))
+    F = energy_values(params, K, X, Y)
+    return sorted(set(np.round(np.linspace(F.min(), F.max(), 13)[1:-1], 6).tolist()) | {1.0})
+
+
+#: (tau, K / k0): tau below, at and above 1, K below, at and above k0
+PORTRAIT_CELLS = [(tau, r) for tau in (0.3, 0.6, 1.0, 2.0, 5.0) for r in (0.5, 1.0, 1.001, 3.0)]
+
+
+class TestContours:
+    def test_array_seeds_equal_the_scalar_bisection_bit_for_bit(self):
+        compared = 0
+        for tau, ratio in PORTRAIT_CELLS:
+            p = make_params(tau)
+            K = ratio * p.k0
+            levels = portrait_levels(p, K) + [0.0, -1.0, 0.5 * K]
+            which, X, Y = _seeds(p, K, levels)
+            for k, level in enumerate(levels):
+                got = [(x.hex(), y.hex()) for x, y in zip(X[which == k].tolist(),
+                                                          Y[which == k].tolist())]
+                want = [(float(x).hex(), float(y).hex()) for x, y in scalar_seeds(p, K, level)]
+                assert got == want, (tau, K, level)
+                compared += len(want)
+        assert compared > 500
+
+    def test_every_point_lies_on_its_level(self):
+        # measured with the tracer's own evaluation of F; the one exception
+        # is an end on the edge X = 1, where F is the constant K (1 - lam)
+        # and the tracer keeps the exit crossing as it is
+        for tau, ratio in PORTRAIT_CELLS:
+            p = make_params(tau)
+            K = ratio * p.k0
+            levels = portrait_levels(p, K)
+            curves = contours(p, K, levels)
+            assert [c.level for c in curves] == sorted(
+                (c.level for c in curves), key=levels.index)
+            for c in curves:
+                off = [abs(_f_and_grad(p.lam, K, x, y)[0] - c.level) for x, y in c.points.tolist()]
+                ends = [0, len(off) - 1]
+                inner = [v for i, v in enumerate(off) if i not in ends or c.points[i, 0] != 1.0]
+                assert max(inner) <= TRACE_TOL, (tau, K, c.level)
+
+    def test_level_one_connects_the_corners_above_k0(self):
+        for tau in (0.75, 2.0):
+            p = make_params(tau)
+            (curve,) = contours(p, 1.5 * p.k0, [1.0])
+            ends = {tuple(curve.points[0]), tuple(curve.points[-1])}
+            assert ends == {(0.0, 1.0), (0.0, -1.0)}
+
+    def test_a_level_outside_the_range_of_F_gives_no_curve(self):
+        p = make_params(0.75)
+        assert contours(p, 3.0, [-5.0, 1e308]) == []
 
 
 class TestConnectivityAgreesWithClosedForm:
