@@ -10,9 +10,10 @@ The commands only parse, format and write: the numbers come from the
 library (contours from :func:`berger_cgc.phase.contours`, spheres, radii and
 boundary roots from :mod:`berger_cgc.sphere`), and every cell of a sweep is
 computed before any file is written.  CSV is the canonical output, written
-from typed columns by one writer; SVG is a thin polyline renderer over the
-same data.  Floats are serialized with 17 significant digits so files
-round-trip exactly and identical configurations give byte-identical outputs.
+from typed columns by :func:`berger_cgc.textout.write_rows`, the writer the
+OBJ meshes share; SVG is a thin polyline renderer over the same data.
+Floats are serialized with 17 significant digits so files round-trip
+exactly and identical configurations give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -46,20 +47,14 @@ def _write_csv(path, columns):
 
     Each column's format follows its values: bools are written as
     true/false, integers with %d and floats with %.17g, which round-trips
-    exactly.  Rows are formatted and written one at a time.
+    exactly.  :func:`berger_cgc.textout.write_rows` formats blocks of rows
+    at once, and raises ValueError if the columns differ in length.
     """
-    formats, values = [], []
-    for column in map(np.asarray, columns.values()):
-        if column.dtype == bool:
-            formats.append("%s")
-            column = np.where(column, "true", "false")
-        else:
-            formats.append("%d" if column.dtype.kind in "iu" else "%.17g")
-        values.append(column.tolist())
-    line = ",".join(formats) + "\n"
+    from . import textout  # formats numbers only when a file is written
+
     with open(path, "w", newline="\n") as f:
         f.write(",".join(columns) + "\n")
-        f.writelines(line % row for row in zip(*values))
+        textout.write_rows(f, columns.values(), sep=",", prefix="")
 
 
 def _values(args, name):
@@ -244,7 +239,7 @@ def cmd_sphere(args) -> int:
                  (-my, my), (0.0, math.pi / 2.0), equal_aspect=True)
         if "obj" in args.format:
             mesh = sphere.build_mesh(sol, n_t=args.mesh_rings)
-            with open(os.path.join(args.out, f"sphere_{tag}.obj"), "w") as f:
+            with open(os.path.join(args.out, f"sphere_{tag}.obj"), "w", newline="\n") as f:
                 sphere.write_obj(mesh, f, header=(f"tau={tau:.17g} K={K:.17g}",
                                                   f"berger-cgc {__version__}"))
     if args.out:

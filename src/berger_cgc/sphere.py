@@ -575,7 +575,7 @@ def write_obj(mesh: SurfaceMesh, fileobj, *, header=()) -> None:
     for line in header:
         fileobj.write(f"# {line}\n")
     fileobj.write(f"# stereographic projection from pole {PROJECTION_POLE}\n")
-    p3 = stereographic(mesh.vertices)
-    fileobj.write("v %.17g %.17g %.17g\n" * len(p3) % tuple(p3.ravel().tolist()))
-    faces = mesh.triangles + 1
-    fileobj.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
+    from . import textout  # formats numbers only when a file is written
+
+    textout.write_rows(fileobj, stereographic(mesh.vertices).T, sep=" ", prefix="v ")
+    textout.write_rows(fileobj, (mesh.triangles + 1).T, sep=" ", prefix="f ")

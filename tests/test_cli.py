@@ -37,6 +37,12 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     assert path.read_text() == want
 
 
+def test_csv_columns_of_unequal_length_are_refused(tmp_path):
+    # no row is dropped to fit the shortest column
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        cli._write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0, 3.0], "b": np.array([1, 2])})
+
+
 def test_csv_with_no_rows_is_its_header(tmp_path):
     path = tmp_path / "t.csv"
     cli._write_csv(path, {"level": [], "seq": np.arange(0), "X": np.empty(0),

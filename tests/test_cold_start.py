@@ -2,8 +2,10 @@
 
 Importing ``scipy.integrate`` is most of a cold start, and only
 ``profile.integrate`` (behind ``verify``) needs it, so ``berger_cgc.profile``
-imports ``solve_ivp`` on first use.  The test modules import scipy
-themselves, so each case runs in a new interpreter.
+imports ``solve_ivp`` on first use.  Likewise the number writer,
+``berger_cgc.textout``, is imported, and its digit table built, by the first
+file written.  The test modules import scipy themselves, so each case runs
+in a new interpreter.
 """
 
 import json
@@ -38,6 +40,18 @@ def test_command_loads_no_scipy(fresh_python, argv, tmp_path):
     code, scipy = run_cli(fresh_python, argv + ["--out", str(tmp_path)] if argv else [])
     assert code == 0
     assert scipy == []
+
+
+def test_import_builds_no_writer(fresh_python):
+    # the number writer and its digit table wait for the first file written
+    proc = fresh_python(
+        "import sys\n"
+        "from berger_cgc import cli\n"
+        "imported = 'berger_cgc.textout' in sys.modules\n"
+        "from berger_cgc import textout\n"
+        "print(imported, textout._tables.cache_info().currsize)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0"]
 
 
 def test_verify_loads_the_integrator(fresh_python, tmp_path):

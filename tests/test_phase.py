@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from berger_cgc import (
     CriticalPointError,
@@ -29,6 +31,36 @@ def exact_energy(lam: Fraction, K: Fraction, X: Fraction, Y: Fraction) -> Fracti
     w = 1 - lam * X
     q = 1 - 2 * lam * X
     return q * q / w * (1 - X) * Y * Y + K * w * X
+
+
+def marching_squares(F, level):
+    """Oracle: the crossings of ``level`` on the edges of the grid ``F`` as
+    (row, col) points, and a component label for each.  Marching squares
+    joins the two crossings of a cell, and pairs the four of a saddle cell
+    as the value at its centre separates them."""
+    above = F >= level
+    cut_h = above[:, :-1] != above[:, 1:]  # edge (i, j) - (i, j + 1)
+    cut_v = above[:-1, :] != above[1:, :]  # edge (i, j) - (i + 1, j)
+    ids_h = np.where(cut_h, np.cumsum(cut_h).reshape(cut_h.shape) - 1, -1)
+    ids_v = np.where(cut_v, cut_h.sum() + np.cumsum(cut_v).reshape(cut_v.shape) - 1, -1)
+    i, j = np.nonzero(cut_h)
+    points = [np.column_stack([i, j + (level - F[i, j]) / (F[i, j + 1] - F[i, j])])]
+    i, j = np.nonzero(cut_v)
+    points.append(np.column_stack([i + (level - F[i, j]) / (F[i + 1, j] - F[i, j]), j]))
+    cell = np.stack([ids_h[:-1], ids_v[:, 1:], ids_h[1:], ids_v[:, :-1]], axis=-1)  # t r b l
+    n_cut = (cell >= 0).sum(axis=-1)
+    two = cell[n_cut == 2]
+    saddle = cell[n_cut == 4]
+    centre = (F[:-1, :-1] + F[:-1, 1:] + F[1:, :-1] + F[1:, 1:])[n_cut == 4] / 4 >= level
+    with_top_left = (centre == above[:-1, :-1][n_cut == 4])[:, None]
+    pairs = np.concatenate([
+        two[two >= 0].reshape(-1, 2),
+        np.where(with_top_left, saddle[:, [0, 1]], saddle[:, [0, 3]]),
+        np.where(with_top_left, saddle[:, [2, 3]], saddle[:, [2, 1]]),
+    ])
+    n = cut_h.sum() + cut_v.sum()
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return np.concatenate(points), connected_components(graph, directed=False)[1]
 
 
 class TestEnergyValue:
@@ -285,6 +317,27 @@ class TestTracing:
 
             connected = any(near(c, 0, 1) and near(c, 0, -1) for c in found)
             assert connected == want == level_one_connects(p, K)
+
+    def test_numpy_marching_squares_oracle(self):
+        # the same connectivity oracle with no skimage: some traced level-1
+        # component holds crossings near both (0, 1) and (0, -1)
+        n = 1001
+        X, Y = np.meshgrid(np.linspace(0, 1, n), np.linspace(-1, 1, n))
+        cells = [(2.0, 0.3), (2.0, 0.2), (0.75, 3.0)]
+        for tau in (0.6, 1.0, 1.7):  # both sides of k0 for tau < 1, = 1, > 1
+            k0 = make_params(tau).k0
+            cells += [(tau, 0.95 * k0), (tau, 1.05 * k0)]
+        for tau, K in cells:
+            p = make_params(tau)
+            points, label = marching_squares(energy_values(p, K, X, Y), 1.0)
+            Xv, Yv = points[:, 1] / (n - 1), points[:, 0] / (n - 1) * 2 - 1
+
+            def near(Yt, tol=3e-3):
+                return set(label[(np.abs(Xv) < tol) & (np.abs(Yv - Yt) < tol)])
+
+            assert near(1.0) and near(-1.0), (tau, K)
+            connected = bool(near(1.0) & near(-1.0))
+            assert connected == (K > p.k0) == level_one_connects(p, K), (tau, K)
 
     def test_sublevel_label_oracle(self):
         # independent connectivity oracle that needs only scipy: level 1
